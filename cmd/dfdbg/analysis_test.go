@@ -26,7 +26,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // buildH264 elaborates one h264 decoder variant for analysis tests.
-func buildH264(t *testing.T, bug h264.Bug) *pedf.Runtime {
+func buildH264(t testing.TB, bug h264.Bug) *pedf.Runtime {
 	t.Helper()
 	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
 	k := sim.NewKernel()
@@ -416,6 +416,29 @@ func BenchmarkAnalyzeH264(b *testing.B) {
 		}
 		if len(rep.Regions) != 1 {
 			b.Fatalf("regions = %d, want 1", len(rep.Regions))
+		}
+	}
+}
+
+// BenchmarkClassifyH264 pins the cost of the abstract interpreter
+// itself: it classifies every actor of the elaborated H.264 decoder
+// with direct absint.Classify calls, so it never touches the
+// process-wide classification memo that makes BenchmarkAnalyzeH264 a
+// cache hit after its first iteration. The baseline lives in
+// BENCH_analyze.json, guarded by cmd/benchguard in CI.
+func BenchmarkClassifyH264(b *testing.B) {
+	rt := buildH264(b, h264.BugNone)
+	actors := rt.Actors()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		static := 0
+		for _, f := range actors {
+			if absint.Classify(f.Prog, pedfgraph.AbsContextFor(f)).Static() {
+				static++
+			}
+		}
+		if static == 0 {
+			b.Fatal("no actor classified static")
 		}
 	}
 }

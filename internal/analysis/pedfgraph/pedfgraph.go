@@ -14,6 +14,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"dfdbg/internal/analysis"
 	"dfdbg/internal/analysis/absint"
@@ -170,12 +172,34 @@ func AbsContextFor(f *pedf.Filter) *absint.Context {
 	return ctx
 }
 
-// classSig is a memo key for actor classification: instances of one
-// filter type with identical declared state classify identically, and a
-// large app (the h264 decoder) instantiates each type many times.
-func classSig(f *pedf.Filter, ctx *absint.Context) string {
+// classKey identifies one classification: instances of one filter
+// program with identical declared state classify identically. The key
+// holds the program itself rather than its address so that a program
+// cannot be collected (and its address reused) while its entry lives.
+type classKey struct {
+	prog *filterc.Program
+	sig  string
+}
+
+// classMemo caches abstract-interpretation verdicts process-wide
+// (classKey → *absint.Class). Runtimes share interned programs
+// (filterc.Intern), so every attach after the first for a given
+// program and declared state skips the proof. Cached classes are
+// read-only; callers get a per-instance shallow copy.
+var (
+	classMemo  sync.Map
+	classMemoN atomic.Int64
+)
+
+// ClassMemoEntries reports the size of the process-wide classification
+// memo, for the analysis_class_memo_entries gauge.
+func ClassMemoEntries() int { return int(classMemoN.Load()) }
+
+// classSig renders the declared state that, together with the
+// program, determines an actor's classification.
+func classSig(ctx *absint.Context) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%p|%v|", f.Prog, ctx.Controller)
+	fmt.Fprintf(&b, "%v|", ctx.Controller)
 	for _, d := range ctx.Ins {
 		fmt.Fprintf(&b, "i:%s:%s|", d.Name, d.Type)
 	}
@@ -191,20 +215,27 @@ func classSig(f *pedf.Filter, ctx *absint.Context) string {
 	return b.String()
 }
 
+// classify returns the memoized classification of one actor.
+func classify(f *pedf.Filter) *absint.Class {
+	ctx := AbsContextFor(f)
+	k := classKey{prog: f.Prog, sig: classSig(ctx)}
+	if c, ok := classMemo.Load(k); ok {
+		return c.(*absint.Class)
+	}
+	c, loaded := classMemo.LoadOrStore(k, absint.Classify(f.Prog, ctx))
+	if !loaded {
+		classMemoN.Add(1)
+	}
+	return c.(*absint.Class)
+}
+
 // ClassifyActors runs the abstract-interpretation classifier over every
-// actor of an elaborated runtime, memoizing per filter type + state.
+// actor of an elaborated runtime, memoized process-wide per program and
+// declared state.
 func ClassifyActors(rt *pedf.Runtime) map[string]*absint.Class {
-	memo := map[string]*absint.Class{}
 	out := map[string]*absint.Class{}
 	for _, f := range rt.Actors() {
-		ctx := AbsContextFor(f)
-		sig := classSig(f, ctx)
-		c, ok := memo[sig]
-		if !ok {
-			c = absint.Classify(f.Prog, ctx)
-			memo[sig] = c
-		}
-		inst := *c
+		inst := *classify(f)
 		inst.Actor = f.Name
 		out[f.Name] = &inst
 	}
@@ -218,6 +249,12 @@ func ClassifyActors(rt *pedf.Runtime) map[string]*absint.Class {
 // (for region DOT rendering). name labels graph diagnostics (typically
 // the ADL file's base name).
 func Analyze(rt *pedf.Runtime, name string) (*analysis.Report, *analysis.Graph, error) {
+	return analyze(rt, name, ClassifyActors)
+}
+
+// analyze is Analyze with the actor classifier as a parameter, so tests
+// can assemble the report from uncached classifications.
+func analyze(rt *pedf.Runtime, name string, classifyActors func(*pedf.Runtime) map[string]*absint.Class) (*analysis.Report, *analysis.Graph, error) {
 	g, err := FromRuntime(rt, name)
 	if err != nil {
 		return nil, nil, err
@@ -229,7 +266,7 @@ func Analyze(rt *pedf.Runtime, name string) (*analysis.Report, *analysis.Graph, 
 		}
 		rep.Merge(analysis.CheckProgram(f.Prog, ProgramContextFor(f)))
 	}
-	classes := ClassifyActors(rt)
+	classes := classifyActors(rt)
 	regions := analysis.ComputeRegions(g, classes)
 	rep.Merge(analysis.CheckClasses(g, classes))
 	rep.Merge(analysis.CheckRegions(g, regions, classes))

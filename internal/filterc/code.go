@@ -282,8 +282,10 @@ func CompileTotal() int64 { return compileTotal.Load() }
 func CacheHits() int64 { return cacheHits.Load() }
 
 // compiledFor returns the cached compiled form of prog, compiling on
-// first use. The cache is keyed by program identity: the parser returns
-// a fresh *Program per parse, and programs are immutable afterwards.
+// first use. The cache is keyed by program identity and programs are
+// immutable after parse. Programs obtained through Intern are shared
+// process-wide, so their code is compiled once per process; a direct
+// Parse returns a fresh *Program and therefore a fresh cache entry.
 func compiledFor(prog *Program) *Code {
 	if c, ok := codeCache.Load(prog); ok {
 		cacheHits.Add(1)
@@ -296,6 +298,45 @@ func compiledFor(prog *Program) *Code {
 		return actual.(*Code)
 	}
 	return c
+}
+
+// ---- program interning ----
+
+// programKey identifies one parse: the same text under the same file
+// name always parses to an identical program.
+type programKey struct{ file, src string }
+
+var (
+	internMu sync.Mutex
+	interned = map[programKey]*Program{}
+)
+
+// Intern returns the process-wide *Program for (file, src), parsing it
+// on first use. Programs are immutable after parse, so every runtime
+// that instantiates the same filter source shares one program — and,
+// through the identity-keyed caches, one compiled code object and one
+// set of classification results. Parse errors are not cached.
+func Intern(file, src string) (*Program, error) {
+	k := programKey{file, src}
+	internMu.Lock()
+	defer internMu.Unlock()
+	if p, ok := interned[k]; ok {
+		return p, nil
+	}
+	p, err := Parse(file, src)
+	if err != nil {
+		return nil, err
+	}
+	interned[k] = p
+	return p, nil
+}
+
+// InternedPrograms reports the size of the intern table, for the
+// filterc_programs_interned gauge.
+func InternedPrograms() int {
+	internMu.Lock()
+	defer internMu.Unlock()
+	return len(interned)
 }
 
 // ---- engine selection ----

@@ -365,7 +365,7 @@ func (rt *Runtime) newActor(m *Module, name string, role Role, source, sourceFil
 		if sourceFile == "" {
 			sourceFile = name + ".c"
 		}
-		prog, err := filterc.Parse(sourceFile, source)
+		prog, err := filterc.Intern(sourceFile, source)
 		if err != nil {
 			return nil, fmt.Errorf("pedf: filter %s: %w", name, err)
 		}

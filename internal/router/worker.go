@@ -191,7 +191,15 @@ func (c *jconn) roundTrip(req serve.Request) (serve.Response, error) {
 	case resp := <-ch:
 		return resp, nil
 	case <-c.down:
-		return serve.Response{}, c.err
+		// A response the read loop delivered before the connection went
+		// down wins: an export's container must not be dropped because
+		// the source closed the connection right after answering.
+		select {
+		case resp := <-ch:
+			return resp, nil
+		default:
+			return serve.Response{}, c.err
+		}
 	}
 }
 

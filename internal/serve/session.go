@@ -15,6 +15,7 @@ import (
 	"dfdbg/internal/cli"
 	"dfdbg/internal/core"
 	"dfdbg/internal/dbginfo"
+	"dfdbg/internal/filterc"
 	"dfdbg/internal/h264"
 	"dfdbg/internal/lowdbg"
 	"dfdbg/internal/mach"
@@ -94,6 +95,10 @@ func NewManager(maxSessions int, idleTimeout time.Duration) *Manager {
 	m.commandsTotal = m.reg.Counter("commands_total", "debugger commands dispatched across all sessions")
 	m.eventsDropped = m.reg.Counter("events_dropped_total", "events lost to per-client backpressure")
 	m.checkpointBytes = m.reg.Gauge("checkpoint_bytes", "size of the most recently captured checkpoint state blob")
+	m.reg.GaugeFunc("filterc_programs_interned", "distinct filter programs parsed in this process",
+		func() float64 { return float64(filterc.InternedPrograms()) })
+	m.reg.GaugeFunc("analysis_class_memo_entries", "memoized actor classifications in this process",
+		func() float64 { return float64(pedfgraph.ClassMemoEntries()) })
 	m.ckptEvery = defaultCkptEvery
 	m.ckptInterval = defaultCkptInterval
 	m.restartLimit = defaultRestartLimit
@@ -304,10 +309,13 @@ func (m *Manager) CloseAll() {
 	}
 }
 
-// remove deletes s from the table (idempotent).
+// remove deletes s from the table (idempotent). It leaves alone a newer
+// session that took over the id after s was retired.
 func (m *Manager) remove(s *Session) {
 	m.mu.Lock()
-	delete(m.sessions, s.ID)
+	if m.sessions[s.ID] == s {
+		delete(m.sessions, s.ID)
+	}
 	m.mu.Unlock()
 }
 
@@ -425,9 +433,10 @@ func buildStack(params SessionParams) (*stack, error) {
 
 // loop is the session goroutine: it builds the stack (so the kernel is
 // born and dies on this goroutine) and serializes every command against
-// it. Kernels never share state across sessions; the only cross-session
-// paths are the process-global filterc code cache (sync.Map) and the
-// manager's atomic counters.
+// it. Kernels never share state across sessions. The cross-session
+// paths are the process-wide, read-only-after-insert tables — filterc's
+// program intern table and compiled-code cache, and pedfgraph's
+// classification memo — plus the manager's atomic counters.
 func (s *Session) loop(ready chan<- error) {
 	defer close(s.done)
 	sup := newSupervisor(s)
@@ -469,7 +478,20 @@ func (s *Session) loop(ready chan<- error) {
 			out := runShielded(cmd, st)
 			s.busy.Store(false)
 			s.touch()
+			// A command that retires the session (a successful export,
+			// a reap verdict) takes the session out of the manager
+			// before its caller learns the outcome, so a caller that
+			// sees the reply never finds the session still listed.
+			retire := retireReason(out)
+			if retire != "" {
+				s.markClosed(retire)
+				s.mgr.remove(s)
+			}
 			cmd.reply <- out
+			if retire != "" {
+				s.teardown(st, retire)
+				return
+			}
 			switch v := out.(type) {
 			case cli.Result:
 				s.ncmds.Add(1)
@@ -511,26 +533,29 @@ func (s *Session) loop(ready chan<- error) {
 					return
 				}
 				st = s.swapStack(st, ns, sup)
-			case exportReply:
-				// The session's state left for a peer: this copy dies so
-				// at most one live instance of the session ever exists.
-				if v.err == nil {
-					s.markClosed("migrated")
-					s.teardown(st, "migrated")
-					return
-				}
-			case reapVerdict:
-				// The idle reaper's probe, decided here on the session
-				// goroutine where the journal and checkpoints are settled.
-				if v.reap {
-					s.markClosed("idle-timeout")
-					s.teardown(st, "idle-timeout")
-					return
-				}
 			}
 			sup.maybeAuto()
 		}
 	}
+}
+
+// retireReason reports whether a command's reply ends the session, and
+// why. A successful export means the session's state left for a peer:
+// this copy dies so at most one live instance of the session ever
+// exists. A reap verdict is the idle reaper's probe, decided on the
+// session goroutine where the journal and checkpoints are settled.
+func retireReason(out any) string {
+	switch v := out.(type) {
+	case exportReply:
+		if v.err == nil {
+			return "migrated"
+		}
+	case reapVerdict:
+		if v.reap {
+			return "idle-timeout"
+		}
+	}
+	return ""
 }
 
 // swapStack retires old and installs ns as the session's live stack:
@@ -601,8 +626,9 @@ func (s *Session) Close(reason string) {
 }
 
 // exportReply carries a migration container out of the session
-// goroutine. On success the loop tears the session down right after
-// the reply, so the exported container is the session's final word.
+// goroutine. On success the loop removes the session from the manager
+// before the reply and tears it down right after, so the exported
+// container is the session's final word.
 type exportReply struct {
 	params    SessionParams
 	container []byte
@@ -648,12 +674,27 @@ func (s *Session) tryReap(timeout time.Duration) bool {
 	default:
 		return false
 	}
+	out, _ := s.awaitReply(cmd.reply)
+	v, _ := out.(reapVerdict)
+	return v.reap
+}
+
+// awaitReply waits for a command's reply. A reply that was sent wins
+// over the session's exit: the loop sends the reply before it tears
+// down and closes done, so when both are ready the buffered reply is
+// still there to be read. ok is false only if the session exited
+// without replying.
+func (s *Session) awaitReply(reply chan any) (out any, ok bool) {
 	select {
-	case out := <-cmd.reply:
-		v, ok := out.(reapVerdict)
-		return ok && v.reap
+	case out = <-reply:
+		return out, true
 	case <-s.done:
-		return false
+		select {
+		case out = <-reply:
+			return out, true
+		default:
+			return nil, false
+		}
 	}
 }
 
@@ -713,15 +754,14 @@ func (s *Session) doCmd(line string, fn func(*stack) any) (any, error) {
 	case <-s.done:
 		return nil, ErrSessionClosed
 	}
-	select {
-	case out := <-cmd.reply:
-		if pr, ok := out.(panicReply); ok {
-			return nil, pr.err
-		}
-		return out, nil
-	case <-s.done:
+	out, ok := s.awaitReply(cmd.reply)
+	if !ok {
 		return nil, ErrSessionClosed
 	}
+	if pr, ok := out.(panicReply); ok {
+		return nil, pr.err
+	}
+	return out, nil
 }
 
 // Subscribe registers sub for this session's events.
