@@ -1,143 +1,37 @@
 package router
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sort"
 	"strings"
-	"sync"
 
 	"dfdbg/internal/serve"
 )
 
-// rclient is one downstream wire-protocol connection: requests are
-// handled in order (the same semantics as connecting to a worker
-// directly), responses are never dropped, and async events queue with
-// bounded drop-oldest backpressure — the mirror of serve's client.
+// rclient is one downstream client connection: serve's wire layer
+// (requests in order, responses never dropped, drop-oldest events) plus
+// the routes this connection is attached to.
 type rclient struct {
-	rt   *Router
-	conn net.Conn
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	resp    [][]byte // responses, unbounded, never dropped
-	events  [][]byte // async events, bounded, drop-oldest
-	dropped uint64
-	closed  bool
-
+	*serve.Conn
+	rt       *Router
 	attached map[string]*route
 }
 
 func newRClient(r *Router, conn net.Conn) *rclient {
-	cl := &rclient{rt: r, conn: conn, attached: make(map[string]*route)}
-	cl.cond = sync.NewCond(&cl.mu)
-	return cl
-}
-
-func (cl *rclient) serve() {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		cl.writer()
-	}()
-	cl.deliver(serve.Event{Event: "hello", Reason: "dfrouter/1"})
-
-	sc := bufio.NewScanner(cl.conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var req serve.Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			cl.respond(serve.Response{ID: req.ID, Error: fmt.Sprintf("bad request: %v", err)})
-			continue
-		}
-		cl.handle(req)
+	return &rclient{
+		Conn:     serve.NewConn(conn, r.opts.EventQueueLen, r.eventsDropped),
+		rt:       r,
+		attached: make(map[string]*route),
 	}
-	cl.shutdown()
-	<-done
 }
 
-func (cl *rclient) shutdown() {
+// detachAll unsubscribes from every attached route (connection end).
+func (cl *rclient) detachAll() {
 	for _, rt := range cl.attached {
 		rt.unsubscribe(cl)
 	}
 	cl.attached = nil
-	cl.mu.Lock()
-	cl.closed = true
-	cl.mu.Unlock()
-	cl.cond.Broadcast()
-}
-
-func (cl *rclient) writer() {
-	defer cl.conn.Close()
-	for {
-		cl.mu.Lock()
-		for !cl.closed && len(cl.resp) == 0 && len(cl.events) == 0 && cl.dropped == 0 {
-			cl.cond.Wait()
-		}
-		batch := cl.resp
-		cl.resp = nil
-		if cl.dropped > 0 {
-			if b, err := json.Marshal(serve.Event{Event: "dropped", Dropped: cl.dropped}); err == nil {
-				batch = append(batch, b)
-			}
-			cl.dropped = 0
-		}
-		batch = append(batch, cl.events...)
-		cl.events = nil
-		closed := cl.closed
-		cl.mu.Unlock()
-		for _, b := range batch {
-			if _, err := cl.conn.Write(append(b, '\n')); err != nil {
-				cl.mu.Lock()
-				cl.closed = true
-				cl.mu.Unlock()
-				return
-			}
-		}
-		if closed {
-			return
-		}
-	}
-}
-
-func (cl *rclient) respond(r serve.Response) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		b, _ = json.Marshal(serve.Response{ID: r.ID, Error: fmt.Sprintf("marshal: %v", err)})
-	}
-	cl.mu.Lock()
-	if !cl.closed {
-		cl.resp = append(cl.resp, b)
-	}
-	cl.mu.Unlock()
-	cl.cond.Broadcast()
-}
-
-// deliver queues an async event with drop-oldest backpressure.
-func (cl *rclient) deliver(ev serve.Event) {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		return
-	}
-	if len(cl.events) >= cl.rt.opts.EventQueueLen {
-		cl.events = cl.events[1:]
-		cl.dropped++
-		cl.rt.eventsDropped.Inc()
-	}
-	cl.events = append(cl.events, b)
-	cl.mu.Unlock()
-	cl.cond.Broadcast()
 }
 
 // attach subscribes the client to a route's events.
@@ -151,90 +45,75 @@ func (cl *rclient) attach(rt *route) {
 
 // handle executes one request against the fleet.
 func (cl *rclient) handle(req serve.Request) {
-	resp := serve.Response{ID: req.ID, Session: req.Session}
-	fail := func(err error) {
-		resp.Error = err.Error()
-		cl.respond(resp)
+	resp, err := cl.run(req)
+	if err != nil {
+		resp = serve.Response{ID: req.ID, Session: req.Session, Error: err.Error()}
 	}
+	cl.Respond(resp)
+}
+
+// run executes req; an error becomes the response's error.
+func (cl *rclient) run(req serve.Request) (serve.Response, error) {
+	resp := serve.Response{ID: req.ID, Session: req.Session, OK: true}
 	switch req.Op {
 	case "ping":
-		resp.OK = true
 		resp.Worker = "dfrouter"
 	case "new":
-		cl.handleNew(req, &resp, fail)
-		return
+		return cl.handleNew(req)
 	case "attach":
 		rt, ok := cl.rt.getRoute(req.Session)
 		if !ok {
-			fail(fmt.Errorf("%w: %q", serve.ErrNoSession, req.Session))
-			return
+			return resp, fmt.Errorf("%w: %q", serve.ErrNoSession, req.Session)
 		}
 		// Attach is router-local: the router's per-session worker
 		// connection is already subscribed upstream, so attaching during
 		// a migration needs no worker round trip and cannot race the
 		// route flip.
 		cl.attach(rt)
-		resp.OK = true
 	case "detach":
 		if rt, ok := cl.attached[req.Session]; ok {
 			rt.unsubscribe(cl)
 			delete(cl.attached, req.Session)
 		}
-		resp.OK = true
 	case "list":
-		resp.OK = true
 		resp.Sessions = cl.rt.listFleet()
 	case "fleet":
-		resp.OK = true
 		resp.Workers = cl.rt.fleet()
 	case "drain":
 		w := cl.rt.workerByName(req.Worker)
 		if w == nil {
-			fail(fmt.Errorf("router: no worker %q", req.Worker))
-			return
+			return resp, fmt.Errorf("router: no worker %q", req.Worker)
 		}
 		moved := cl.rt.DrainWorker(w)
-		resp.OK = true
 		resp.Worker = w.nameOf()
 		for _, id := range moved {
 			resp.Sessions = append(resp.Sessions, serve.SessionInfo{ID: id})
 		}
 	case "metrics":
-		if req.Session == "" {
-			resp.OK = true
-			resp.Metrics = cl.rt.reg.Snapshot()
-			break
+		if req.Session != "" {
+			return cl.forward(req)
 		}
-		cl.forward(req, &resp, fail)
-		return
+		resp.Metrics = cl.rt.reg.Snapshot()
 	case "exec", "complete", "checkpoint", "restore", "checkpoints", "kill", "export", "import":
-		cl.forward(req, &resp, fail)
-		return
+		return cl.forward(req)
 	default:
-		fail(fmt.Errorf("router: unknown op %q", req.Op))
-		return
+		return resp, fmt.Errorf("router: unknown op %q", req.Op)
 	}
-	cl.respond(resp)
+	return resp, nil
 }
 
 // handleNew places a session: the router mints the fleet-unique id,
 // ranks the eligible workers by rendezvous score and creates the
 // session on the best one that will take it.
-func (cl *rclient) handleNew(req serve.Request, resp *serve.Response, fail func(error)) {
+func (cl *rclient) handleNew(req serve.Request) (serve.Response, error) {
 	id := req.Session
 	if id == "" {
 		id = cl.rt.nextID()
 	} else if rt, ok := cl.rt.getRoute(id); ok && rt != nil {
-		fail(fmt.Errorf("%w: %q", serve.ErrDuplicateID, id))
-		return
+		return serve.Response{}, fmt.Errorf("%w: %q", serve.ErrDuplicateID, id)
 	}
-	workers := cl.rt.ranked(id, nil)
-	if len(workers) == 0 {
-		fail(fmt.Errorf("router: no healthy worker"))
-		return
-	}
-	var lastErr error
-	for _, w := range workers {
+	lastErr := fmt.Errorf("router: no healthy worker")
+	for _, w := range cl.rt.ranked(id, nil) {
 		rt := newRoute(id)
 		sc, err := cl.rt.dialSession(w, rt)
 		if err != nil {
@@ -264,58 +143,47 @@ func (cl *rclient) handleNew(req serve.Request, resp *serve.Response, fail func(
 		cl.rt.installRoute(rt)
 		cl.attach(rt)
 		cl.rt.sessionsRouted.Inc()
-		resp.OK = true
-		resp.Session = id
-		cl.respond(*resp)
-		return
+		return serve.Response{ID: req.ID, OK: true, Session: id}, nil
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("router: no healthy worker")
-	}
-	fail(lastErr)
+	return serve.Response{}, lastErr
 }
 
 // forward proxies one session-scoped request to the owning worker. The
 // route's read lock is held across the round trip, so a concurrent
 // migration waits for this command and the next one lands on the new
 // worker.
-func (cl *rclient) forward(req serve.Request, resp *serve.Response, fail func(error)) {
+func (cl *rclient) forward(req serve.Request) (serve.Response, error) {
 	rt, ok := cl.rt.getRoute(req.Session)
 	if !ok {
-		fail(fmt.Errorf("%w: %q", serve.ErrNoSession, req.Session))
-		return
+		return serve.Response{}, fmt.Errorf("%w: %q", serve.ErrNoSession, req.Session)
 	}
 	rt.mu.RLock()
 	sc := rt.sc
 	if sc == nil {
 		rt.mu.RUnlock()
-		fail(fmt.Errorf("%w: %q", serve.ErrNoSession, req.Session))
-		return
+		return serve.Response{}, fmt.Errorf("%w: %q", serve.ErrNoSession, req.Session)
 	}
 	cl.rt.commandsTotal.Inc()
-	r2, err := sc.roundTrip(req)
+	resp, err := sc.roundTrip(req)
 	rt.mu.RUnlock()
 	if err != nil {
-		fail(fmt.Errorf("router: session %s: worker lost: %v", req.Session, err))
-		return
+		return serve.Response{}, fmt.Errorf("router: session %s: worker lost: %v", req.Session, err)
 	}
-	r2.ID = req.ID
-	if r2.Session == "" {
-		r2.Session = req.Session
+	resp.ID = req.ID
+	if resp.Session == "" {
+		resp.Session = req.Session
 	}
-	cl.respond(r2)
-
 	// A session that ended upstream — quit, kill, or an export a client
-	// issued directly — leaves the table; the worker-side close event
-	// tells the subscribers why.
-	gone := r2.Done || (req.Op == "kill" && r2.OK) || (req.Op == "export" && r2.OK)
-	if gone {
+	// issued directly — leaves the table before the client hears of it;
+	// the worker-side close event tells the subscribers why.
+	if resp.Done || (resp.OK && (req.Op == "kill" || req.Op == "export")) {
 		rt.mu.Lock()
 		if rt.sc == sc {
-			cl.rt.dropQuiet(rt)
+			cl.rt.dropRoute(rt, "")
 		}
 		rt.mu.Unlock()
 	}
+	return resp, nil
 }
 
 // listFleet merges every healthy worker's session list (each session

@@ -183,10 +183,9 @@ func diffLine(a, b string) string {
 // the router must re-route the exported container — the session's last
 // good checkpoint — to the next-ranked peer instead of losing it.
 func TestMigrationRetriesPastDeadPeer(t *testing.T) {
-	f := startFleet(t, 3, serve.Options{})
 	// Slow the health loop way down so the dead peer stays "healthy" in
 	// the placement pool for the duration of the drain.
-	f.r.opts.PingInterval = time.Hour
+	f := startFleet(t, 3, serve.Options{}, Options{PingInterval: time.Hour})
 
 	w := dialWire(t, f.addr)
 	r := w.roundTrip(serve.Request{Op: "new", Params: tinyParams})

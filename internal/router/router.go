@@ -201,7 +201,7 @@ func (r *Router) Serve(ln net.Listener) error {
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			cl.serve()
+			cl.Serve("dfrouter/1", cl.handle, cl.detachAll)
 			r.mu.Lock()
 			delete(r.clients, cl)
 			r.mu.Unlock()
@@ -236,7 +236,7 @@ func (r *Router) Close() error {
 		ln.Close()
 	}
 	for _, cl := range clients {
-		cl.conn.Close()
+		cl.Close()
 	}
 	for _, rt := range routes {
 		rt.mu.Lock()
@@ -294,7 +294,7 @@ func (rt *route) publish(ev serve.Event) {
 	}
 	rt.subMu.Unlock()
 	for _, cl := range subs {
-		cl.deliver(ev)
+		cl.Deliver(ev)
 	}
 }
 
@@ -323,9 +323,11 @@ func (r *Router) installRoute(rt *route) {
 	r.mu.Unlock()
 }
 
-// dropRoute removes a route (idempotent), closes its upstream conn and
-// tells subscribers why the session went away. The caller must hold
-// rt.mu.
+// dropRoute removes a route (idempotent) and closes its upstream conn.
+// A non-empty reason is told to the subscribers in a session-closed
+// event; an empty one drops the route quietly (the worker-side event
+// stream already told them why, or the client asked for the container
+// itself). The caller must hold rt.mu.
 func (r *Router) dropRoute(rt *route, reason string) {
 	r.mu.Lock()
 	_, live := r.routes[rt.id]
@@ -339,20 +341,6 @@ func (r *Router) dropRoute(rt *route, reason string) {
 	if live && reason != "" {
 		rt.publish(serve.Event{Event: "session-closed", Session: rt.id, Reason: reason})
 	}
-}
-
-// dropQuiet removes a route without a close notice (the worker-side
-// event stream already told the subscribers why, or the client asked
-// for the container itself). The caller must hold rt.mu.
-func (r *Router) dropQuiet(rt *route) {
-	r.mu.Lock()
-	delete(r.routes, rt.id)
-	r.mu.Unlock()
-	if rt.sc != nil {
-		rt.sc.close(fmt.Errorf("router: session %s ended", rt.id))
-		rt.sc = nil
-	}
-	rt.w = nil
 }
 
 // nextID mints a fleet-unique session id.

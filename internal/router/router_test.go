@@ -26,8 +26,10 @@ type fleet struct {
 }
 
 // startFleet boots n workers named w1..wn and a router over them, and
-// waits until every worker passed its first health check.
-func startFleet(t testing.TB, n int, wopts serve.Options) *fleet {
+// waits until every worker passed its first health check. An optional
+// ropts configures the router (Workers is filled in; PingInterval
+// defaults to 200ms).
+func startFleet(t testing.TB, n int, wopts serve.Options, ropts ...Options) *fleet {
 	t.Helper()
 	f := &fleet{t: t}
 	var specs []string
@@ -47,7 +49,12 @@ func startFleet(t testing.TB, n int, wopts serve.Options) *fleet {
 		f.waddrs = append(f.waddrs, ln.Addr().String())
 		specs = append(specs, fmt.Sprintf("%s=%s", opts.Name, ln.Addr().String()))
 	}
-	f.r = New(Options{Workers: specs, PingInterval: 200 * time.Millisecond})
+	ro := Options{PingInterval: 200 * time.Millisecond}
+	if len(ropts) > 0 {
+		ro = ropts[0]
+	}
+	ro.Workers = specs
+	f.r = New(ro)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("router listen: %v", err)

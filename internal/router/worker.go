@@ -1,7 +1,6 @@
 package router
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -99,31 +98,23 @@ func (c *jconn) queueEvent(ev serve.Event) {
 }
 
 func (c *jconn) readLoop() {
-	// The max line must hold an export response carrying a base64 DFCK
-	// container (hundreds of KB for the case-study decoder).
-	sc := bufio.NewScanner(c.conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	err := serve.ReadLines(c.conn, func(line []byte) {
 		var probe struct {
 			Event string `json:"event"`
 		}
 		if err := json.Unmarshal(line, &probe); err != nil {
-			continue
+			return
 		}
 		if probe.Event != "" {
 			var ev serve.Event
 			if json.Unmarshal(line, &ev) == nil {
 				c.queueEvent(ev)
 			}
-			continue
+			return
 		}
 		var resp serve.Response
 		if err := json.Unmarshal(line, &resp); err != nil {
-			continue
+			return
 		}
 		c.mu.Lock()
 		ch := c.pending[resp.ID]
@@ -132,8 +123,7 @@ func (c *jconn) readLoop() {
 		if ch != nil {
 			ch <- resp
 		}
-	}
-	err := sc.Err()
+	})
 	if err == nil {
 		err = fmt.Errorf("router: worker connection closed")
 	}

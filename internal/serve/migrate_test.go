@@ -192,23 +192,91 @@ func TestWorkerNamePrefixesIDs(t *testing.T) {
 	}
 }
 
-// TestReapDecidesOnSessionGoroutine is the regression test for the
-// reap/checkpoint race: the busy/lastUsed atomics flicker idle for an
-// instant between a command finishing and the supervisor journaling it,
-// so a reaper keying off the atomics alone could tear a session down
-// between an auto-checkpoint and its journal write. The reap decision
-// now runs on the session goroutine at a command boundary; a session
-// executing back-to-back journaled commands under a hammering reaper
-// must survive with every acknowledged command in its journal.
+// silentHold parks the session goroutine until the returned release is
+// called, and returns once it is parked. The hold is not a client
+// command: it neither counts as waiting nor moves the idle clock.
+func silentHold(t *testing.T, s *Session) (release func(), done <-chan error) {
+	t.Helper()
+	h := queueHold(s, true)
+	select {
+	case <-h.entered:
+	case err := <-h.done:
+		t.Fatalf("hold: %v", err)
+	}
+	return h.release, h.done
+}
+
+// pendingHold is a hold command sent to the session goroutine.
+type pendingHold struct {
+	entered chan struct{} // closed once the goroutine is parked in it
+	release func()        // idempotent
+	done    chan error
+}
+
+// queueHold sends a hold to the session goroutine: a client command, or
+// a silent one that goes through the loop like a reap probe that yields.
+func queueHold(s *Session, silent bool) *pendingHold {
+	gate := make(chan struct{})
+	var once sync.Once
+	h := &pendingHold{
+		entered: make(chan struct{}),
+		release: func() { once.Do(func() { close(gate) }) },
+		done:    make(chan error, 1),
+	}
+	park := func(*stack) any {
+		close(h.entered)
+		<-gate
+		return nil
+	}
+	go func() {
+		if !silent {
+			_, err := s.do(park)
+			h.done <- err
+			return
+		}
+		// The loop treats a yielding reap verdict as no use at all.
+		run := func(st *stack) any { park(st); return reapVerdict{} }
+		cmd := sessionCmd{run: run, reply: make(chan any, 1), probe: true}
+		s.cmds <- cmd
+		<-cmd.reply
+		h.done <- nil
+	}()
+	return h
+}
+
+// awaitWaiting blocks until n client commands are waiting on s.
+func awaitWaiting(t *testing.T, s *Session, n int32) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.waiting.Load() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("waiting = %d, want %d", s.waiting.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReapDecidesOnSessionGoroutine stresses the reaper's two promises
+// under a reaper spinning with a 1 ns idle timeout:
+//   - no acknowledged journaled command is missing from the journal
+//     when the session retires;
+//   - no reap happens while a client command is waiting.
+//
+// A probe that lands while nothing runs or waits may legitimately reap
+// the session, so the test keeps a client command waiting at every
+// command boundary: while the session goroutine is parked in a hold,
+// the round's Exec and the next hold queue up behind it, and only then
+// is the hold released. Every Exec must be acknowledged.
 func TestReapDecidesOnSessionGoroutine(t *testing.T) {
-	// idleTimeout 1ns: the atomic pre-filter fires on every pass, so
-	// only the on-goroutine re-check keeps the session alive.
 	mgr := NewManager(4, time.Nanosecond)
 	defer mgr.CloseAll()
 	s, err := mgr.Create(SessionParams{})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
+	cur := queueHold(s, false)
+	<-cur.entered
+	defer func() { cur.release() }() // before CloseAll, if the test fails early
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -226,30 +294,113 @@ func TestReapDecidesOnSessionGoroutine(t *testing.T) {
 	}()
 
 	const rounds = 30
+	execs := make(chan error, rounds)
 	for i := 0; i < rounds; i++ {
-		res, err := s.Exec("watchdog 1000000")
-		if err != nil {
-			t.Fatalf("round %d: session reaped mid-activity: %v", i, err)
+		base := s.waiting.Load() // Execs still queued from earlier rounds
+		go func() {
+			res, err := s.Exec("watchdog 1000000")
+			if err == nil {
+				err = res.Err
+			}
+			execs <- err
+		}()
+		awaitWaiting(t, s, base+1)
+		var next *pendingHold
+		if i < rounds-1 {
+			next = queueHold(s, false)
+			awaitWaiting(t, s, base+2)
 		}
-		if res.Err != nil {
-			t.Fatalf("round %d: %v", i, res.Err)
+		cur.release()
+		if err := <-cur.done; err != nil {
+			t.Fatalf("round %d: hold: %v", i, err)
 		}
+		if next != nil {
+			select {
+			case <-next.entered:
+			case err := <-next.done:
+				t.Fatalf("round %d: reaped while a command was waiting: %v", i, err)
+			}
+			cur = next
+		}
+	}
+	acked := 0
+	for i := 0; i < rounds; i++ {
+		if err := <-execs; err != nil {
+			t.Errorf("reaped while a command was waiting: %v", err)
+			continue
+		}
+		acked++
 	}
 	close(stop)
 	wg.Wait()
 
-	// Every acknowledged journaled command must be in the journal: a
-	// reap between execution and the journal write would lose lines.
-	out, err := s.do(func(*stack) any { return s.sup.mgr.JournalLen() })
-	if err != nil {
-		// The session may legitimately be reaped *after* the last
-		// acknowledged command — that is the reaper doing its job. What
-		// it must never do is reap between ack and journal write, which
-		// the Exec error check above already proved.
-		return
+	// Retire the session (the reaper may already have) and read the
+	// journal it retired with: a reap between a command's reply and its
+	// journal write would lose lines.
+	s.Close("test-done")
+	if got := s.sup.mgr.JournalLen(); got < acked {
+		t.Errorf("journal holds %d entries, want >= %d (acknowledged commands lost)", got, acked)
 	}
-	if got := out.(int); got < rounds {
-		t.Errorf("journal holds %d entries, want >= %d (acknowledged commands lost)", got, rounds)
+}
+
+// TestReapYieldsToWaitingCommand pins the reap-yield rule
+// deterministically. With the session goroutine parked in a silent
+// hold, a client Exec and a 1 ns reap probe both queue up, in either
+// order. The probe must be decided on the session goroutine (ReapIdle
+// waits for the hold), and it must yield: the Exec is acknowledged and
+// the session is still listed. Exec first exercises the "a command ran
+// since the pre-filter looked" half of the rule, probe first the "a
+// command is waiting" half.
+func TestReapYieldsToWaitingCommand(t *testing.T) {
+	for _, probeFirst := range []bool{false, true} {
+		name := "exec then probe"
+		if probeFirst {
+			name = "probe then exec"
+		}
+		t.Run(name, func(t *testing.T) {
+			mgr := NewManager(4, time.Nanosecond)
+			defer mgr.CloseAll()
+			s, err := mgr.Create(*tinyParams)
+			if err != nil {
+				t.Fatalf("create: %v", err)
+			}
+			release, held := silentHold(t, s)
+			defer release() // before CloseAll, if the test fails early
+			execErr := make(chan error, 1)
+			queueExec := func() {
+				go func() {
+					_, err := s.Exec("info filters")
+					execErr <- err
+				}()
+				awaitWaiting(t, s, 1)
+			}
+			if !probeFirst {
+				queueExec()
+			}
+			reaped := make(chan int, 1)
+			go func() { reaped <- mgr.ReapIdle() }()
+			select {
+			case n := <-reaped:
+				t.Fatalf("ReapIdle decided (%d) while the session goroutine was busy", n)
+			case <-time.After(50 * time.Millisecond):
+			}
+			if probeFirst {
+				queueExec()
+			}
+			release()
+			if err := <-held; err != nil {
+				t.Fatalf("hold: %v", err)
+			}
+			if err := <-execErr; err != nil {
+				t.Fatalf("waiting Exec not acknowledged: %v", err)
+			}
+			if n := <-reaped; n != 0 {
+				t.Errorf("ReapIdle reaped %d sessions, want 0", n)
+			}
+			if _, err := mgr.Get(s.ID); err != nil {
+				t.Errorf("session no longer listed: %v", err)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -168,7 +167,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			cl.serve()
+			cl.Serve("dfserve/1", cl.handle, cl.detachAll)
 			s.mu.Lock()
 			delete(s.clients, cl)
 			s.mu.Unlock()
@@ -223,149 +222,38 @@ func (s *Server) Close() error {
 	// Sever live connections: a closed server must look dead to its
 	// clients (the router's health checks included), not half-alive.
 	for _, cl := range clients {
-		cl.conn.Close()
+		cl.Close()
 	}
 	s.mgr.CloseAll()
 	s.wg.Wait()
 	return nil
 }
 
-// client is one wire-protocol connection: a reader goroutine handling
-// requests in order, and a writer goroutine draining the outbound
-// queue. Responses are never dropped; asynchronous events are queued
-// with a bounded drop-oldest policy so one slow reader cannot stall a
-// session or the server (the drop count is surfaced to the client in a
-// "dropped" event and to the operator in events_dropped_total).
+// client is one dfserve connection: the shared wire layer plus the
+// sessions this connection is attached to.
 type client struct {
-	srv  *Server
-	conn net.Conn
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	resp    [][]byte // responses, unbounded, never dropped
-	events  [][]byte // async events, bounded, drop-oldest
-	dropped uint64   // drops since the last "dropped" notice
-	closed  bool
-
+	*Conn
+	srv      *Server
 	attached map[string]*Session
 }
 
 func newClient(s *Server, conn net.Conn) *client {
-	cl := &client{srv: s, conn: conn, attached: make(map[string]*Session)}
-	cl.cond = sync.NewCond(&cl.mu)
-	return cl
-}
-
-// serve runs the connection to completion.
-func (cl *client) serve() {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		cl.writer()
-	}()
-	cl.deliver(Event{Event: "hello", Reason: "dfserve/1"})
-
-	// The max line must hold an "import" request carrying a base64 DFCK
-	// migration container (hundreds of KB for the case-study decoder).
-	sc := bufio.NewScanner(cl.conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			cl.respond(Response{ID: req.ID, Error: fmt.Sprintf("bad request: %v", err)})
-			continue
-		}
-		cl.handle(req)
+	return &client{
+		Conn:     NewConn(conn, s.opts.EventQueueLen, s.mgr.eventsDropped),
+		srv:      s,
+		attached: make(map[string]*Session),
 	}
-	cl.shutdown()
-	<-done
 }
 
-// shutdown detaches from every session and wakes the writer to flush
-// and exit.
-func (cl *client) shutdown() {
+// deliver makes the client a session subscriber.
+func (cl *client) deliver(ev Event) { cl.Deliver(ev) }
+
+// detachAll unsubscribes from every attached session (connection end).
+func (cl *client) detachAll() {
 	for _, s := range cl.attached {
 		s.Unsubscribe(cl)
 	}
 	cl.attached = nil
-	cl.mu.Lock()
-	cl.closed = true
-	cl.mu.Unlock()
-	cl.cond.Broadcast()
-}
-
-// writer drains the outbound queues onto the connection.
-func (cl *client) writer() {
-	defer cl.conn.Close()
-	for {
-		cl.mu.Lock()
-		for !cl.closed && len(cl.resp) == 0 && len(cl.events) == 0 && cl.dropped == 0 {
-			cl.cond.Wait()
-		}
-		batch := cl.resp
-		cl.resp = nil
-		if cl.dropped > 0 {
-			if b, err := json.Marshal(Event{Event: "dropped", Dropped: cl.dropped}); err == nil {
-				batch = append(batch, b)
-			}
-			cl.dropped = 0
-		}
-		batch = append(batch, cl.events...)
-		cl.events = nil
-		closed := cl.closed
-		cl.mu.Unlock()
-		for _, b := range batch {
-			if _, err := cl.conn.Write(append(b, '\n')); err != nil {
-				cl.mu.Lock()
-				cl.closed = true
-				cl.mu.Unlock()
-				return
-			}
-		}
-		if closed {
-			return
-		}
-	}
-}
-
-// respond queues a response (never dropped).
-func (cl *client) respond(r Response) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		b, _ = json.Marshal(Response{ID: r.ID, Error: fmt.Sprintf("marshal: %v", err)})
-	}
-	cl.mu.Lock()
-	if !cl.closed {
-		cl.resp = append(cl.resp, b)
-	}
-	cl.mu.Unlock()
-	cl.cond.Broadcast()
-}
-
-// deliver queues an async event with drop-oldest backpressure
-// (subscriber interface; called from session goroutines).
-func (cl *client) deliver(ev Event) {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		return
-	}
-	if len(cl.events) >= cl.srv.opts.EventQueueLen {
-		cl.events = cl.events[1:]
-		cl.dropped++
-		cl.srv.mgr.eventsDropped.Inc()
-	}
-	cl.events = append(cl.events, b)
-	cl.mu.Unlock()
-	cl.cond.Broadcast()
 }
 
 // handle executes one request. Requests on a connection run in order;
@@ -373,178 +261,109 @@ func (cl *client) deliver(ev Event) {
 // connection, not other clients.
 func (cl *client) handle(req Request) {
 	resp := Response{ID: req.ID, Session: req.Session}
-	fail := func(err error) {
+	if err := cl.run(req, &resp); err != nil {
 		resp.Error = err.Error()
-		cl.respond(resp)
 	}
+	cl.Respond(resp)
+}
+
+// run executes req into resp; an error becomes the response's error.
+func (cl *client) run(req Request, resp *Response) error {
+	mgr := cl.srv.mgr
 	switch req.Op {
 	case "ping":
-		resp.OK = true
-		resp.Worker = cl.srv.mgr.Name()
-	case "new":
+		resp.OK, resp.Worker = true, mgr.Name()
+		return nil
+	case "new", "import":
 		var p SessionParams
 		if req.Params != nil {
 			p = *req.Params
 		}
 		// A request-supplied session id pins the id (the router assigns
 		// fleet-unique ids up front so rendezvous placement can be
-		// computed from the id alone); empty generates one.
-		s, err := cl.srv.mgr.CreateWithID(req.Session, p)
+		// computed from the id alone); empty generates one on "new".
+		var s *Session
+		var err error
+		if req.Op == "new" {
+			s, err = mgr.CreateWithID(req.Session, p)
+		} else {
+			s, err = mgr.Import(req.Session, p, req.Container)
+		}
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
 		// The creator is attached: it sees its session's events without
 		// a separate attach round-trip.
-		cl.attach(s)
-		resp.OK = true
-		resp.Session = s.ID
-	case "export":
-		s, err := cl.srv.mgr.Get(req.Session)
-		if err != nil {
-			fail(err)
-			return
+		if err := cl.attach(s); err != nil {
+			return err
 		}
-		params, container, err := s.Export()
-		if err != nil {
-			fail(err)
-			return
-		}
-		delete(cl.attached, req.Session)
-		resp.OK = true
-		resp.Params = &params
-		resp.Container = container
-	case "import":
-		var p SessionParams
-		if req.Params != nil {
-			p = *req.Params
-		}
-		s, err := cl.srv.mgr.Import(req.Session, p, req.Container)
-		if err != nil {
-			fail(err)
-			return
-		}
-		cl.attach(s)
-		resp.OK = true
-		resp.Session = s.ID
+		resp.OK, resp.Session = true, s.ID
+		return nil
 	case "drain":
 		cl.srv.StartDrain()
-		resp.OK = true
-		resp.Worker = cl.srv.mgr.Name()
-		resp.Sessions = cl.srv.mgr.List()
-	case "attach":
-		s, err := cl.srv.mgr.Get(req.Session)
-		if err != nil {
-			fail(err)
-			return
-		}
-		cl.attach(s)
-		resp.OK = true
+		resp.OK, resp.Worker, resp.Sessions = true, mgr.Name(), mgr.List()
+		return nil
 	case "detach":
 		if s, ok := cl.attached[req.Session]; ok {
 			s.Unsubscribe(cl)
 			delete(cl.attached, req.Session)
 		}
 		resp.OK = true
-	case "exec":
-		s, err := cl.srv.mgr.Get(req.Session)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if err := execInto(s, req.Line, &resp); err != nil {
-			fail(err)
-			return
-		}
-	case "checkpoint":
-		s, err := cl.srv.mgr.Get(req.Session)
-		if err != nil {
-			fail(err)
-			return
-		}
-		line := "checkpoint"
-		if req.Label != "" {
-			line += " " + req.Label
-		}
-		if err := execInto(s, line, &resp); err != nil {
-			fail(err)
-			return
-		}
-	case "restore":
-		s, err := cl.srv.mgr.Get(req.Session)
-		if err != nil {
-			fail(err)
-			return
-		}
-		line := "restore"
-		if req.Line != "" {
-			line += " " + req.Line
-		}
-		if err := execInto(s, line, &resp); err != nil {
-			fail(err)
-			return
-		}
-	case "checkpoints":
-		s, err := cl.srv.mgr.Get(req.Session)
-		if err != nil {
-			fail(err)
-			return
-		}
-		infos, err := s.Checkpoints()
-		if err != nil {
-			fail(err)
-			return
-		}
-		resp.OK = true
-		resp.Checkpoints = infos
-	case "complete":
-		s, err := cl.srv.mgr.Get(req.Session)
-		if err != nil {
-			fail(err)
-			return
-		}
-		comps, err := s.Complete(req.Line)
-		if err != nil {
-			fail(err)
-			return
-		}
-		resp.OK = true
-		resp.Completions = comps
+		return nil
 	case "list":
-		resp.OK = true
-		resp.Sessions = cl.srv.mgr.List()
-	case "kill":
-		s, err := cl.srv.mgr.Get(req.Session)
-		if err != nil {
-			fail(err)
-			return
-		}
-		s.Close("killed")
-		delete(cl.attached, req.Session)
-		resp.OK = true
+		resp.OK, resp.Sessions = true, mgr.List()
+		return nil
 	case "metrics":
 		if req.Session == "" {
-			resp.OK = true
-			resp.Metrics = cl.srv.mgr.Registry().Snapshot()
-			break
+			resp.OK, resp.Metrics = true, mgr.Registry().Snapshot()
+			return nil
 		}
-		s, err := cl.srv.mgr.Get(req.Session)
-		if err != nil {
-			fail(err)
-			return
-		}
-		mv, err := s.Metrics()
-		if err != nil {
-			fail(err)
-			return
-		}
-		resp.OK = true
-		resp.Metrics = mv
+	case "attach", "export", "exec", "checkpoint", "restore", "checkpoints", "complete", "kill":
 	default:
-		fail(fmt.Errorf("serve: unknown op %q", req.Op))
-		return
+		return fmt.Errorf("serve: unknown op %q", req.Op)
 	}
-	cl.respond(resp)
+
+	// The session-scoped ops.
+	s, err := mgr.Get(req.Session)
+	if err != nil {
+		return err
+	}
+	switch req.Op {
+	case "attach":
+		if err := cl.attach(s); err != nil {
+			return err
+		}
+	case "export":
+		params, container, err := s.Export()
+		if err != nil {
+			return err
+		}
+		delete(cl.attached, req.Session)
+		resp.Params, resp.Container = &params, container
+	case "exec":
+		return execInto(s, req.Line, resp)
+	case "checkpoint":
+		return execInto(s, cmdLine("checkpoint", req.Label), resp)
+	case "restore":
+		return execInto(s, cmdLine("restore", req.Line), resp)
+	case "checkpoints":
+		if resp.Checkpoints, err = s.Checkpoints(); err != nil {
+			return err
+		}
+	case "complete":
+		if resp.Completions, err = s.Complete(req.Line); err != nil {
+			return err
+		}
+	case "kill":
+		s.Close("killed")
+		delete(cl.attached, req.Session)
+	case "metrics":
+		if resp.Metrics, err = s.Metrics(); err != nil {
+			return err
+		}
+	}
+	resp.OK = true
+	return nil
 }
 
 // execInto runs one command line on s and renders the result into resp.
@@ -563,11 +382,23 @@ func execInto(s *Session, line string, resp *Response) error {
 	return nil
 }
 
-// attach subscribes the client to s.
-func (cl *client) attach(s *Session) {
+// cmdLine joins a command verb and its optional argument.
+func cmdLine(verb, arg string) string {
+	if arg == "" {
+		return verb
+	}
+	return verb + " " + arg
+}
+
+// attach subscribes the client to s. A session past serving refuses
+// with ErrSessionClosed.
+func (cl *client) attach(s *Session) error {
 	if _, ok := cl.attached[s.ID]; ok {
-		return
+		return nil
+	}
+	if err := s.Subscribe(cl); err != nil {
+		return err
 	}
 	cl.attached[s.ID] = s
-	s.Subscribe(cl)
+	return nil
 }

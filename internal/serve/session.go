@@ -188,12 +188,24 @@ func (m *Manager) Import(id string, params SessionParams, container []byte) (*Se
 
 // newSession admits and boots one session (fresh or imported).
 func (m *Manager) newSession(id string, params SessionParams, boot *ckpt.Checkpoint) (*Session, error) {
+	s, err := m.admit(id, params, boot)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.start(s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// admit reserves a table slot and an id for a session still booting.
+func (m *Manager) admit(id string, params SessionParams, boot *ckpt.Checkpoint) (*Session, error) {
 	if m.draining.Load() {
 		return nil, ErrDraining
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.maxSessions > 0 && len(m.sessions) >= m.maxSessions {
-		m.mu.Unlock()
 		return nil, fmt.Errorf("%w (%d active)", ErrSessionLimit, len(m.sessions))
 	}
 	if id == "" {
@@ -203,7 +215,6 @@ func (m *Manager) newSession(id string, params SessionParams, boot *ckpt.Checkpo
 			id = m.name + "-" + id
 		}
 	} else if _, taken := m.sessions[id]; taken {
-		m.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateID, id)
 	}
 	s := &Session{
@@ -212,21 +223,25 @@ func (m *Manager) newSession(id string, params SessionParams, boot *ckpt.Checkpo
 		mgr:    m,
 		bootCP: boot,
 		cmds:   make(chan sessionCmd),
-		stop:   make(chan struct{}),
+		stop:   make(chan string),
 		done:   make(chan struct{}),
 		subs:   make(map[subscriber]struct{}),
 	}
 	m.sessions[s.ID] = s
-	m.mu.Unlock()
+	return s, nil
+}
 
+// start runs an admitted session's goroutine and waits until it booted
+// (graph reconstructed, first prompt reachable) or failed to.
+func (m *Manager) start(s *Session) error {
 	ready := make(chan error)
 	go s.loop(ready)
 	if err := <-ready; err != nil {
 		m.remove(s)
-		return nil, err
+		return err
 	}
 	m.sessionsOpened.Inc()
-	return s, nil
+	return nil
 }
 
 // Get returns the session with the given id.
@@ -261,39 +276,44 @@ func (m *Manager) List() []SessionInfo {
 	return out
 }
 
-// ReapIdle closes sessions that have been idle (no command executing,
-// none arriving) for longer than the idle timeout. It returns how many
+// ReapIdle closes sessions that have been idle (no command executed,
+// none waiting) for longer than the idle timeout. It returns how many
 // were reaped. The server calls this periodically; tests call it
 // directly.
 //
-// The busy/lastUsed atomics are only a cheap pre-filter: they can
-// flicker idle for an instant between a command finishing and the
-// supervisor journaling it, so the actual reap decision runs as a
-// probe on the session goroutine itself. There the world is settled —
-// the previous command's journal entry and auto-checkpoint are written
-// — and the idle clock is re-checked before the session tears down. A
-// session mid-command never even receives the probe (the send would
-// block, and blocked sends are skipped).
+// The lastUsed atomic is only a cheap pre-filter. The verdict is a
+// probe taken on the session goroutine at a command boundary, where the
+// previous command's journal entry and auto-checkpoint are settled. The
+// probe yields — the session keeps serving — if a client command ran
+// after the pre-filter looked or is waiting to run. A probe queues
+// behind a command in flight, so the pass lasts until every probed
+// session reached a boundary.
 func (m *Manager) ReapIdle() int {
 	if m.idleTimeout <= 0 {
 		return 0
 	}
 	m.mu.Lock()
-	var victims []*Session
+	seen := make(map[*Session]int64)
 	for _, s := range m.sessions {
-		if !s.busy.Load() && time.Since(time.Unix(0, s.lastUsed.Load())) > m.idleTimeout {
-			victims = append(victims, s)
+		if used := s.lastUsed.Load(); time.Since(time.Unix(0, used)) > m.idleTimeout {
+			seen[s] = used
 		}
 	}
 	m.mu.Unlock()
-	n := 0
-	for _, s := range victims {
-		if s.tryReap(m.idleTimeout) {
-			n++
-			m.sessionsReaped.Inc()
-		}
+	var n atomic.Int64
+	var wg sync.WaitGroup
+	for s, used := range seen {
+		wg.Add(1)
+		go func(s *Session, used int64) {
+			defer wg.Done()
+			if s.tryReap(used) {
+				n.Add(1)
+				m.sessionsReaped.Inc()
+			}
+		}(s, used)
 	}
-	return n
+	wg.Wait()
+	return int(n.Load())
 }
 
 // CloseAll tears down every session (server shutdown).
@@ -323,11 +343,13 @@ func (m *Manager) remove(s *Session) {
 // closure receives the session's stack, so every kernel access happens
 // on the goroutine that owns it. line carries the debugger command line
 // for exec commands ("" for internal queries) — the supervisor journals
-// it on success and re-executes it after crash recovery.
+// it on success and re-executes it after crash recovery. probe marks
+// the idle reaper's probe, which is not a client command.
 type sessionCmd struct {
 	line  string
 	run   func(*stack) any
 	reply chan any
+	probe bool
 }
 
 // stack is one session's full debug stack, built and used only on the
@@ -349,7 +371,7 @@ type Session struct {
 
 	mgr  *Manager
 	cmds chan sessionCmd
-	stop chan struct{} // closed by Close: tear down
+	stop chan string   // Close hands its reason to the loop here
 	done chan struct{} // closed by loop on exit
 
 	// bootCP is the migrated-in container an imported session restores
@@ -359,15 +381,19 @@ type Session struct {
 	bootCP *ckpt.Checkpoint
 	sup    *supervisor
 
-	closeOnce   sync.Once
-	closeReason atomic.Value // string
-
 	busy     atomic.Bool
-	lastUsed atomic.Int64 // wall nanos of the last command
+	lastUsed atomic.Int64 // wall nanos of the last client command
 	ncmds    atomic.Uint64
+	waiting  atomic.Int32 // client commands sent to cmds and not yet taken
 
-	subMu sync.Mutex
-	subs  map[subscriber]struct{}
+	// subMu guards the subscriber set and the lifecycle phase together,
+	// so a subscriber either joins before the session retires (and hears
+	// session-closed) or is refused. reason is the close reason, written
+	// once by retire.
+	subMu  sync.Mutex
+	subs   map[subscriber]struct{}
+	phase  phase
+	reason string
 
 	// kPtr/recPtr expose the session's kernel and recorder to the web
 	// layer's lock-free paths (stall snapshots, the live event tap).
@@ -431,6 +457,28 @@ func buildStack(params SessionParams) (*stack, error) {
 	return &stack{cli: c, k: k, m: m, rec: orec, rt: rt}, nil
 }
 
+// phase is a session's place in its lifecycle. It only moves forward:
+//
+//	booting → serving → retiring → closed
+//	booting → closed (the boot failed)
+//
+// retire is the only way out of serving (DESIGN §8, "Session
+// ownership", has the transition table).
+type phase int
+
+const (
+	booting phase = iota
+	serving
+	retiring
+	closed
+)
+
+func (s *Session) setPhase(p phase) {
+	s.subMu.Lock()
+	s.phase = p
+	s.subMu.Unlock()
+}
+
 // loop is the session goroutine: it builds the stack (so the kernel is
 // born and dies on this goroutine) and serializes every command against
 // it. Kernels never share state across sessions. The cross-session
@@ -456,6 +504,7 @@ func (s *Session) loop(ready chan<- error) {
 	}
 	ready <- err
 	if err != nil {
+		s.setPhase(closed)
 		return
 	}
 	s.kPtr.Store(st.k)
@@ -468,101 +517,102 @@ func (s *Session) loop(ready chan<- error) {
 		sup.boot(st)
 	}
 	s.touch()
-	for {
+	s.setPhase(serving)
+	var reason string
+	var last func()
+	for reason == "" {
 		select {
-		case <-s.stop:
-			s.teardown(st, s.reason())
-			return
+		case reason = <-s.stop:
 		case cmd := <-s.cmds:
-			s.busy.Store(true)
-			out := runShielded(cmd, st)
-			s.busy.Store(false)
-			s.touch()
-			// A command that retires the session (a successful export,
-			// a reap verdict) takes the session out of the manager
-			// before its caller learns the outcome, so a caller that
-			// sees the reply never finds the session still listed.
-			retire := retireReason(out)
-			if retire != "" {
-				s.markClosed(retire)
-				s.mgr.remove(s)
+			if !cmd.probe {
+				s.waiting.Add(-1)
 			}
-			cmd.reply <- out
-			if retire != "" {
-				s.teardown(st, retire)
-				return
-			}
-			switch v := out.(type) {
-			case cli.Result:
-				s.ncmds.Add(1)
-				s.mgr.commandsTotal.Inc()
-				if cmd.line != "" && v.Err == nil && ckpt.Journaled(cmd.line) {
-					sup.note(cmd.line)
-				}
-				if v.Stop != nil {
-					s.publish(Event{Event: "stop", Session: s.ID, Stop: v.Stop})
-				}
-				if v.Quit {
-					s.markClosed("quit")
-					s.teardown(st, "quit")
-					return
-				}
-				if ns := sup.adopt(); ns != nil {
-					// A checkpoint command (restore, reverse-step,
-					// reverse-continue) staged a rebuilt stack: swap it in.
-					st = s.swapStack(st, ns, sup)
-					s.publish(Event{Event: "restored", Session: s.ID})
-				} else if v.Stop != nil && v.Stop.Crash != nil {
-					// A contained crash (induced `fault panic`) killed the
-					// world: restore, disarm, re-execute.
-					ns := sup.recoverFrom(cmd.line, "crash: "+v.Stop.Crash.Cause)
-					if ns == nil {
-						s.markClosed("crash-loop")
-						s.teardown(st, "crash-loop")
-						return
-					}
-					st = s.swapStack(st, ns, sup)
-				}
-			case panicReply:
-				// A genuine Go panic unwound the command closure; the old
-				// stack may be wedged. Recover or close.
-				ns := sup.recoverFrom(cmd.line, v.err.Error())
-				if ns == nil {
-					s.markClosed("crash-loop")
-					s.teardown(st, "crash-loop")
-					return
-				}
-				st = s.swapStack(st, ns, sup)
-			}
-			sup.maybeAuto()
+			st, reason, last = s.step(st, cmd)
 		}
 	}
+	s.retire(st, reason, last)
 }
 
-// retireReason reports whether a command's reply ends the session, and
-// why. A successful export means the session's state left for a peer:
-// this copy dies so at most one live instance of the session ever
-// exists. A reap verdict is the idle reaper's probe, decided on the
-// session goroutine where the journal and checkpoints are settled.
-func retireReason(out any) string {
+// step runs one command on the session goroutine and settles its
+// effects: journal, stop event, checkpoint swap, crash recovery. It
+// returns the live stack and, if the command ends the session, the close
+// reason. A reply that retires the session (a successful export, a reap
+// verdict, quit) comes back unsent as last, for retire to send once the
+// session has left the manager.
+func (s *Session) step(st *stack, cmd sessionCmd) (*stack, string, func()) {
+	s.busy.Store(true)
+	out := runShielded(cmd, st)
+	s.busy.Store(false)
+	reply := func() { cmd.reply <- out }
+	var reason string
 	switch v := out.(type) {
+	case reapVerdict:
+		// A probe is not use: it leaves the idle clock alone.
+		if v.reap {
+			return st, "idle-timeout", reply
+		}
+		reply()
+		s.sup.maybeAuto()
+		return st, "", nil
 	case exportReply:
 		if v.err == nil {
-			return "migrated"
+			// The state left for a peer: this copy dies so at most one
+			// live instance of the session ever exists.
+			reason = "migrated"
 		}
-	case reapVerdict:
-		if v.reap {
-			return "idle-timeout"
+	case cli.Result:
+		s.ncmds.Add(1)
+		s.mgr.commandsTotal.Inc()
+		if cmd.line != "" && v.Err == nil && ckpt.Journaled(cmd.line) {
+			s.sup.note(cmd.line)
+		}
+		if v.Quit {
+			reason = "quit"
 		}
 	}
-	return ""
+	s.touch()
+	if reason != "" {
+		return st, reason, reply
+	}
+	reply()
+
+	var crash string
+	switch v := out.(type) {
+	case cli.Result:
+		if v.Stop != nil {
+			s.publish(Event{Event: "stop", Session: s.ID, Stop: v.Stop})
+		}
+		if ns := s.sup.adopt(); ns != nil {
+			// A checkpoint command (restore, reverse-step,
+			// reverse-continue) staged a rebuilt stack: swap it in.
+			st = s.swapStack(st, ns)
+			s.publish(Event{Event: "restored", Session: s.ID})
+		} else if v.Stop != nil && v.Stop.Crash != nil {
+			// A contained crash (induced `fault panic`) killed the
+			// world: restore, disarm, re-execute.
+			crash = "crash: " + v.Stop.Crash.Cause
+		}
+	case panicReply:
+		// A genuine Go panic unwound the command closure; the old stack
+		// may be wedged.
+		crash = v.err.Error()
+	}
+	if crash != "" {
+		ns := s.sup.recoverFrom(cmd.line, crash)
+		if ns == nil {
+			return st, "crash-loop", nil
+		}
+		st = s.swapStack(st, ns)
+	}
+	s.sup.maybeAuto()
+	return st, "", nil
 }
 
 // swapStack retires old and installs ns as the session's live stack:
 // live web streams are closed (clients reattach against the new world),
 // the lock-free pointers flip, and the old kernel is unwound. Runs on
 // the session goroutine.
-func (s *Session) swapStack(old, ns *stack, sup *supervisor) *stack {
+func (s *Session) swapStack(old, ns *stack) *stack {
 	// Detach before flipping recPtr: the broadcaster's attach closure
 	// resolves the recorder through recPtr, so this clears the tap on
 	// the old recorder.
@@ -577,15 +627,25 @@ func (s *Session) swapStack(old, ns *stack, sup *supervisor) *stack {
 	if old != nil && old != ns {
 		_ = old.k.Shutdown()
 	}
-	sup.wire(ns)
+	s.sup.wire(ns)
 	return ns
 }
 
-// teardown unwinds the kernel's processes, removes the session and
-// tells the subscribers. Runs on the session goroutine.
-func (s *Session) teardown(st *stack, reason string) {
-	// Tear the web fan-out first: close live streams and remove the
-	// recorder tap before the lock-free pointers go away.
+// retire is the session's one way out of serving, run once on the
+// session goroutine with the first close reason. In order, it: enters
+// retiring (Subscribe and the web broadcaster now refuse), leaves the
+// manager, sends the retiring reply if there is one (so a caller that
+// sees it never finds the session listed), closes the web fan-out and
+// the lock-free pointers, unwinds the kernel, publishes session-closed
+// to the subscribers that joined before, and drops them.
+func (s *Session) retire(st *stack, reason string, reply func()) {
+	s.subMu.Lock()
+	s.phase, s.reason = retiring, reason
+	s.subMu.Unlock()
+	s.mgr.remove(s)
+	if reply != nil {
+		reply()
+	}
 	s.webMu.Lock()
 	if s.webBC != nil {
 		s.webBC.Detach()
@@ -594,41 +654,30 @@ func (s *Session) teardown(st *stack, reason string) {
 	s.kPtr.Store(nil)
 	s.recPtr.Store(nil)
 	_ = st.k.Shutdown()
-	s.mgr.remove(s)
 	s.publish(Event{Event: "session-closed", Session: s.ID, Reason: reason})
 	s.subMu.Lock()
-	s.subs = make(map[subscriber]struct{})
+	s.subs, s.phase = nil, closed
 	s.subMu.Unlock()
 }
 
-// markClosed records the close reason exactly once (and wins over a
-// concurrent Close, which then finds the done channel already closing).
-func (s *Session) markClosed(reason string) {
-	s.closeOnce.Do(func() { s.closeReason.Store(reason) })
-}
-
-func (s *Session) reason() string {
-	if r, ok := s.closeReason.Load().(string); ok {
-		return r
-	}
-	return "closed"
-}
-
-// Close tears the session down and waits until its goroutine exited
-// (kernel fully unwound). Safe to call from any goroutine, idempotent.
-// If a command is executing, teardown happens after it completes.
+// Close retires the session with reason (unless it already retired for
+// another) and waits until its goroutine exited (kernel fully unwound).
+// Safe to call from any goroutine, idempotent. If a command is
+// executing, the session retires after it completes.
 func (s *Session) Close(reason string) {
-	s.closeOnce.Do(func() {
-		s.closeReason.Store(reason)
-		close(s.stop)
-	})
+	if reason == "" {
+		reason = "closed"
+	}
+	select {
+	case s.stop <- reason:
+	case <-s.done:
+	}
 	<-s.done
 }
 
 // exportReply carries a migration container out of the session
-// goroutine. On success the loop removes the session from the manager
-// before the reply and tears it down right after, so the exported
-// container is the session's final word.
+// goroutine. On success the session retires with reason "migrated", so
+// the exported container is the session's final word.
 type exportReply struct {
 	params    SessionParams
 	container []byte
@@ -659,19 +708,19 @@ func (s *Session) Export() (SessionParams, []byte, error) {
 }
 
 // tryReap asks the session goroutine to retire the session if it is
-// still idle. The probe is sent non-blocking: a session that is busy —
-// or already has a command queued — is skipped, never interrupted.
-func (s *Session) tryReap(timeout time.Duration) bool {
+// still idle: no client command finished since lastUsed read seen, and
+// none is waiting to run. The probe queues behind a command in flight.
+func (s *Session) tryReap(seen int64) bool {
 	cmd := sessionCmd{
 		run: func(*stack) any {
-			idle := time.Since(time.Unix(0, s.lastUsed.Load()))
-			return reapVerdict{reap: idle > timeout}
+			return reapVerdict{reap: s.lastUsed.Load() == seen && s.waiting.Load() == 0}
 		},
 		reply: make(chan any, 1),
+		probe: true,
 	}
 	select {
 	case s.cmds <- cmd:
-	default:
+	case <-s.done:
 		return false
 	}
 	out, _ := s.awaitReply(cmd.reply)
@@ -701,44 +750,38 @@ func (s *Session) awaitReply(reply chan any) (out any, ok bool) {
 // Exec dispatches one debugger command line on the session goroutine
 // and returns its structured result.
 func (s *Session) Exec(line string) (cli.Result, error) {
-	out, err := s.doCmd(line, func(st *stack) any { return st.cli.Dispatch(line) })
-	if err != nil {
-		return cli.Result{}, err
-	}
-	return out.(cli.Result), nil
+	return call(s, line, func(st *stack) cli.Result { return st.cli.Dispatch(line) })
 }
 
 // Checkpoints lists the session's retained checkpoints, oldest first.
 func (s *Session) Checkpoints() ([]ckpt.Info, error) {
-	out, err := s.do(func(st *stack) any {
+	return call(s, "", func(st *stack) []ckpt.Info {
 		if st.cli.Ckpt == nil || st.cli.Ckpt.List == nil {
-			return []ckpt.Info(nil)
+			return nil
 		}
 		return st.cli.Ckpt.List()
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out.([]ckpt.Info), nil
 }
 
 // Complete returns command-line completions for a partial line.
 func (s *Session) Complete(partial string) ([]string, error) {
-	out, err := s.do(func(st *stack) any { return st.cli.CompleteLine(partial) })
-	if err != nil {
-		return nil, err
-	}
-	return out.([]string), nil
+	return call(s, "", func(st *stack) []string { return st.cli.CompleteLine(partial) })
 }
 
 // Metrics snapshots the session's own observability registry (the
 // per-session kernel/runtime/debugger metrics, not the server's).
 func (s *Session) Metrics() ([]obs.MetricValue, error) {
-	out, err := s.do(func(st *stack) any { return st.rec.Metrics.Snapshot() })
+	return call(s, "", func(st *stack) []obs.MetricValue { return st.rec.Metrics.Snapshot() })
+}
+
+// call is doCmd with a typed result.
+func call[T any](s *Session, line string, fn func(*stack) T) (T, error) {
+	out, err := s.doCmd(line, func(st *stack) any { return fn(st) })
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
-	return out.([]obs.MetricValue), nil
+	return out.(T), nil
 }
 
 // do runs fn on the session goroutine.
@@ -749,6 +792,7 @@ func (s *Session) do(fn func(*stack) any) (any, error) { return s.doCmd("", fn) 
 // back as an error, not a dead session.
 func (s *Session) doCmd(line string, fn func(*stack) any) (any, error) {
 	cmd := sessionCmd{line: line, run: fn, reply: make(chan any, 1)}
+	s.waiting.Add(1)
 	select {
 	case s.cmds <- cmd:
 	case <-s.done:
@@ -764,11 +808,17 @@ func (s *Session) doCmd(line string, fn func(*stack) any) (any, error) {
 	return out, nil
 }
 
-// Subscribe registers sub for this session's events.
-func (s *Session) Subscribe(sub subscriber) {
+// Subscribe registers sub for this session's events. A session past
+// serving refuses with ErrSessionClosed: its session-closed event is
+// already on its way to the subscribers it had.
+func (s *Session) Subscribe(sub subscriber) error {
 	s.subMu.Lock()
+	defer s.subMu.Unlock()
+	if s.phase > serving {
+		return ErrSessionClosed
+	}
 	s.subs[sub] = struct{}{}
-	s.subMu.Unlock()
+	return nil
 }
 
 // Unsubscribe removes sub.

@@ -111,7 +111,10 @@ func (h *webHost) Stream(st *web.Stream) (func(), error) {
 	}
 	cancel := bc.Subscribe(st)
 	sub := &webSub{st: st}
-	h.s.Subscribe(sub)
+	if err := h.s.Subscribe(sub); err != nil {
+		cancel()
+		return nil, err
+	}
 	return func() {
 		h.s.Unsubscribe(sub)
 		cancel()
@@ -125,14 +128,17 @@ type webSub struct{ st *web.Stream }
 func (w *webSub) deliver(ev Event) { w.st.PushNote(ev.Event, ev) }
 
 // webBroadcaster lazily creates the session's fan-out over the
-// recorder tap.
+// recorder tap. A session past serving refuses with ErrSessionClosed:
+// retire enters retiring before it takes webMu to detach, so a
+// broadcaster created here is always detached by retire.
 func (s *Session) webBroadcaster() (*web.Broadcaster, error) {
 	s.webMu.Lock()
 	defer s.webMu.Unlock()
-	select {
-	case <-s.done:
+	s.subMu.Lock()
+	past := s.phase > serving
+	s.subMu.Unlock()
+	if past {
 		return nil, ErrSessionClosed
-	default:
 	}
 	if s.webBC == nil {
 		s.webBC = web.NewBroadcaster(func(fn func(obs.Event, uint64)) {
