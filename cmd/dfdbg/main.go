@@ -38,7 +38,6 @@ import (
 	"dfdbg/internal/obs"
 	"dfdbg/internal/pedf"
 	"dfdbg/internal/sim"
-	"dfdbg/internal/trace"
 	"dfdbg/internal/web"
 )
 
@@ -184,9 +183,11 @@ func (st *soloStack) full() (*analysis.Report, error) {
 func buildSolo(p h264.Params, bug h264.Bug, fo faultOpts, out io.Writer) (*soloStack, error) {
 	k := sim.NewKernel()
 	orec := obs.NewRecorder(4096)
+	// The `trace` queries read token traffic, with payloads, from the ring.
+	orec.EnableKinds(obs.MaskDataflow)
+	orec.SetPayloads(true)
 	k.SetObserver(orec)
 	low := lowdbg.New(k, dbginfo.NewTable())
-	rec := trace.Attach(low)
 	d := core.Attach(low)
 	m := mach.New(k, mach.Config{})
 	rt := pedf.NewRuntime(k, m, low)
@@ -212,7 +213,6 @@ func buildSolo(p h264.Params, bug h264.Bug, fo faultOpts, out io.Writer) (*soloS
 		return nil, err
 	}
 	c := cli.New(d, out)
-	c.Rec = rec
 	c.Obs = orec
 	c.Targets = rt.FaultTargets()
 	c.Full = func() (*analysis.Report, *analysis.Graph, error) {

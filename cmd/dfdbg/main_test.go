@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -79,6 +81,34 @@ func TestTraceCommands(t *testing.T) {
 	s := out.String()
 	if !strings.Contains(s, "push") || !strings.Contains(s, "events") {
 		t.Errorf("trace output missing:\n%s", s)
+	}
+}
+
+// TestTraceQueriesOrdered checks that `trace balance` lists a stalled
+// run's in-flight links in link-id order and `trace activity` lists
+// actors in name order, so both print the same text on every run.
+func TestTraceQueriesOrdered(t *testing.T) {
+	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
+	script := "continue\ntrace balance\ntrace activity\nquit\n"
+	var out strings.Builder
+	if err := run(p, "rate-stall", faultOpts{}, strings.NewReader(script), &out); err != nil {
+		t.Fatal(err)
+	}
+	var links []int
+	var actors []string
+	for _, line := range strings.Split(strings.ReplaceAll(out.String(), "(gdb) ", "\n"), "\n") {
+		var link, bal int
+		if n, _ := fmt.Sscanf(line, "link#%d  +%d tokens in flight", &link, &bal); n == 2 {
+			links = append(links, link)
+		} else if f := strings.Fields(line); len(f) == 3 && f[2] == "events" {
+			actors = append(actors, f[0])
+		}
+	}
+	if len(links) < 2 || !sort.IntsAreSorted(links) {
+		t.Errorf("balance links %v: want at least two, in link-id order", links)
+	}
+	if len(actors) < 2 || !sort.StringsAreSorted(actors) {
+		t.Errorf("activity actors %v: want at least two, in name order", actors)
 	}
 }
 

@@ -24,9 +24,11 @@ package cli
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,7 +43,6 @@ import (
 	"dfdbg/internal/obs"
 	"dfdbg/internal/pedf"
 	"dfdbg/internal/sim"
-	"dfdbg/internal/trace"
 )
 
 // CLI is one interactive debugging session.
@@ -49,11 +50,8 @@ type CLI struct {
 	D   *core.Debugger
 	Low *lowdbg.Debugger
 	Out io.Writer
-	// Rec, when set, enables the `trace` commands (offline event-trace
-	// analysis alongside the interactive session).
-	Rec *trace.Recorder
 	// Obs, when set, enables the observability commands: `metrics`,
-	// `profile` and `timeline export`.
+	// `profile`, `timeline export` and the `trace` queries.
 	Obs *obs.Recorder
 	// Targets, when set, lets `fault gen <seed>` draw random faults
 	// against the running application's links/filters/PEs.
@@ -1134,28 +1132,50 @@ func (c *CLI) setCmd(rest []string) error {
 	return nil
 }
 
-// traceCmd exposes the offline trace recorder: `trace [n]` dumps the
-// last n events, `trace balance` shows per-link push/pop imbalance,
-// `trace activity` per-actor event counts.
+// traceCmd answers offline trace-analysis questions from the obs event
+// ring: `trace [n]` dumps the last n token and scheduling events, `trace
+// balance` shows per-link push/pop imbalance in link-id order, `trace
+// activity` per-actor event counts in actor-name order.
 func (c *CLI) traceCmd(rest []string) error {
-	if c.Rec == nil {
+	if c.Obs == nil {
 		return fmt.Errorf("no trace recorder attached to this session")
 	}
+	var evs []obs.Event
+	for _, ev := range c.Obs.Snapshot() {
+		if traceKind(ev.Kind) != "" {
+			evs = append(evs, ev)
+		}
+	}
 	if len(rest) == 0 {
-		c.printf("%s", c.Rec.Dump(20))
+		c.traceDump(evs, 20)
 		return nil
 	}
 	switch rest[0] {
 	case "balance":
-		for link, bal := range c.Rec.LinkBalance() {
-			if bal != 0 {
-				c.printf("link#%d  +%d tokens in flight\n", link, bal)
+		bal := make(map[int32]int)
+		for _, ev := range evs {
+			switch ev.Kind {
+			case obs.KPush:
+				bal[ev.Link]++
+			case obs.KPop:
+				bal[ev.Link]--
+			}
+		}
+		for _, link := range sortedKeys(bal) {
+			if bal[link] != 0 {
+				c.printf("link#%d  +%d tokens in flight\n", link, bal[link])
 			}
 		}
 		return nil
 	case "activity":
-		for actor, n := range c.Rec.ActorActivity() {
-			c.printf("%-16s %d events\n", actor, n)
+		act := make(map[string]int)
+		for _, ev := range evs {
+			if ev.Actor != "" {
+				act[ev.Actor]++
+			}
+		}
+		for _, actor := range sortedKeys(act) {
+			c.printf("%-16s %d events\n", actor, act[actor])
 		}
 		return nil
 	default:
@@ -1163,8 +1183,54 @@ func (c *CLI) traceCmd(rest []string) error {
 		if err != nil {
 			return fmt.Errorf("usage: trace [n | balance | activity]")
 		}
-		c.printf("%s", c.Rec.Dump(n))
+		c.traceDump(evs, n)
 		return nil
+	}
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// traceKind names the event kinds the trace commands report: token
+// traffic and scheduling operations. Every other kind maps to "".
+func traceKind(k obs.Kind) string {
+	switch k {
+	case obs.KPush, obs.KPop:
+		return k.String()
+	case obs.KActorStart, obs.KActorSync, obs.KStepBegin, obs.KStepEnd:
+		return "sched"
+	}
+	return ""
+}
+
+// traceDump prints the last n events (all if n <= 0), one per line:
+// time, kind and actor, then port, peer and payload for token traffic.
+func (c *CLI) traceDump(evs []obs.Event, n int) {
+	if n > 0 && len(evs) > n {
+		evs = evs[len(evs)-n:]
+	}
+	for _, ev := range evs {
+		kind := traceKind(ev.Kind)
+		line := fmt.Sprintf("%-12s %-5s %s", sim.Time(ev.At), kind, ev.Actor)
+		if kind != "sched" {
+			if ev.Port != "" {
+				line += "::" + ev.Port
+			}
+			if ev.Other != "" {
+				line += " <-> " + ev.Other
+			}
+			if ev.Val != "" {
+				line += " " + ev.Val
+			}
+		}
+		c.printf("%s\n", line)
 	}
 }
 

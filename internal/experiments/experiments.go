@@ -27,7 +27,6 @@ import (
 	"dfdbg/internal/pedf"
 	"dfdbg/internal/script"
 	"dfdbg/internal/sim"
-	"dfdbg/internal/trace"
 )
 
 // pedfValue aliases the token payload type for readability.
@@ -641,15 +640,17 @@ func (r *Runner) P2() error {
 	p := r.params()
 	for seed := int64(1); seed <= 3; seed++ {
 		p.Seed = seed
-		// Run A: no debugger, with a trace recorder piggybacked on an
-		// otherwise-idle lowdbg (records the token sequence).
+		// Run A: no debugger, with the obs ring recording the token
+		// sequence, payloads included, beside an otherwise-idle lowdbg.
 		runOnce := func(withStops bool) (string, []int, error) {
 			k := sim.NewKernel()
 			// A generous ring so the full token sequence of the run is
 			// retained (drop-oldest would truncate the comparison window).
-			k.SetObserver(obs.NewRecorder(1 << 20))
+			orec := obs.NewRecorder(1 << 20)
+			orec.EnableKinds(obs.MaskDataflow)
+			orec.SetPayloads(true)
+			k.SetObserver(orec)
 			low := lowdbg.New(k, dbginfo.NewTable())
-			rec := trace.Attach(low)
 			var d *core.Debugger
 			if withStops {
 				d = core.Attach(low)
@@ -694,9 +695,9 @@ func (r *Runner) P2() error {
 			}
 			// Token sequence: every push in order, payload included.
 			var sig strings.Builder
-			for _, e := range rec.Events() {
-				if e.Kind == trace.EvPush {
-					fmt.Fprintf(&sig, "%s:%s;", e.Actor+"::"+e.Port, e.Value)
+			for _, e := range orec.Snapshot() {
+				if e.Kind == obs.KPush {
+					fmt.Fprintf(&sig, "%s:%s;", e.Actor+"::"+e.Port, e.Val)
 				}
 			}
 			return sig.String(), frame, nil

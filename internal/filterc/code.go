@@ -2,7 +2,6 @@ package filterc
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -345,32 +344,9 @@ func InternedPrograms() int {
 type Engine int
 
 const (
-	// EngineDefault follows the build tag (slowinterp) and the
-	// DFDBG_FILTERC_INTERP environment variable ("walker" or "vm").
-	EngineDefault Engine = iota
-	// EngineVM forces the bytecode VM.
-	EngineVM
-	// EngineWalker forces the tree-walking interpreter (the
-	// differential-testing oracle).
+	// EngineVM, the zero value, runs the bytecode VM.
+	EngineVM Engine = iota
+	// EngineWalker runs the tree-walking interpreter, kept as the
+	// differential-testing oracle for the VM.
 	EngineWalker
 )
-
-var defaultEngineVM = func() bool {
-	switch os.Getenv("DFDBG_FILTERC_INTERP") {
-	case "walker":
-		return false
-	case "vm":
-		return true
-	}
-	return buildDefaultVM
-}()
-
-func (in *Interp) useVM() bool {
-	switch in.Engine {
-	case EngineVM:
-		return true
-	case EngineWalker:
-		return false
-	}
-	return defaultEngineVM
-}

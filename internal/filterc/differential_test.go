@@ -86,14 +86,17 @@ func (e *diffEnv) Intrinsic(name string, args []Value) (Value, bool, error) {
 }
 
 // runEngine executes fn on one engine and flattens everything observable
-// into one string.
-func runEngine(prog *Program, eng Engine, fn string, args []Value, maxSteps int64) string {
+// into one string. Without hooks the trace holds only io and intrinsic
+// events, and the run takes the VM's hook-free call path.
+func runEngine(prog *Program, eng Engine, fn string, args []Value, maxSteps int64, hooked bool) string {
 	tr := &diffTrace{}
 	env := newDiffEnv(tr)
 	in := New(prog, env)
 	in.Engine = eng
 	in.MaxSteps = maxSteps
-	in.Hooks = &diffHooks{tr: tr}
+	if hooked {
+		in.Hooks = &diffHooks{tr: tr}
+	}
 	v, err := in.CallFunc(fn, args)
 	var sb strings.Builder
 	if err != nil {
@@ -114,6 +117,19 @@ func runEngine(prog *Program, eng Engine, fn string, args []Value, maxSteps int6
 		sb.WriteByte('\n')
 	}
 	return sb.String()
+}
+
+// diffEngines runs one call on both engines, with and without hooks, and
+// describes the first divergence ("" when the engines agree).
+func diffEngines(prog *Program, fn string, args []Value, maxSteps int64) string {
+	for _, hooked := range []bool{true, false} {
+		walker := runEngine(prog, EngineWalker, fn, args, maxSteps, hooked)
+		vm := runEngine(prog, EngineVM, fn, args, maxSteps, hooked)
+		if walker != vm {
+			return fmt.Sprintf("hooked=%v\n--- walker ---\n%s--- vm ---\n%s", hooked, walker, vm)
+		}
+	}
+	return ""
 }
 
 // scalarArgs synthesizes call arguments for a function whose parameters
@@ -146,11 +162,8 @@ func diffProgram(t *testing.T, file, src string, maxSteps int64) int {
 			if !ok {
 				break
 			}
-			walker := runEngine(prog, EngineWalker, name, args, maxSteps)
-			vm := runEngine(prog, EngineVM, name, args, maxSteps)
-			if walker != vm {
-				t.Fatalf("engines diverge on %s(%v) in:\n%s\n--- walker ---\n%s--- vm ---\n%s",
-					name, args, src, walker, vm)
+			if d := diffEngines(prog, name, args, maxSteps); d != "" {
+				t.Fatalf("engines diverge on %s(%v) in:\n%s\n%s", name, args, src, d)
 			}
 			calls++
 		}
@@ -381,11 +394,8 @@ func FuzzVMWalkerEquivalence(f *testing.F) {
 			if !ok {
 				continue
 			}
-			walker := runEngine(prog, EngineWalker, name, args, 20000)
-			vm := runEngine(prog, EngineVM, name, args, 20000)
-			if walker != vm {
-				t.Fatalf("engines diverge on %s in:\n%s\n--- walker ---\n%s--- vm ---\n%s",
-					name, src, walker, vm)
+			if d := diffEngines(prog, name, args, 20000); d != "" {
+				t.Fatalf("engines diverge on %s in:\n%s\n%s", name, src, d)
 			}
 		}
 	})

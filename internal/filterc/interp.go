@@ -165,10 +165,9 @@ const (
 	ctrlReturn
 )
 
-// Interp executes a Program against an Env. By default it runs compiled
-// bytecode on a stack VM (see compile.go / vm.go); set Engine (or build
-// with -tags slowinterp, or set DFDBG_FILTERC_INTERP=walker) to select
-// the tree-walking interpreter, which is kept as the differential-testing
+// Interp executes a Program against an Env. It runs compiled bytecode on
+// a stack VM (see compile.go / vm.go); Engine = EngineWalker selects the
+// tree-walking interpreter, which is kept as the differential-testing
 // oracle. Both engines expose identical observable behaviour.
 type Interp struct {
 	Prog     *Program
@@ -218,7 +217,7 @@ func (in *Interp) CallFunc(name string, args []Value) (Value, error) {
 		return Value{}, fmt.Errorf("filterc: no function %q in %s", name, in.Prog.File)
 	}
 	in.steps = 0
-	if in.useVM() {
+	if in.Engine == EngineVM {
 		if in.code == nil {
 			in.code = compiledFor(in.Prog)
 		}

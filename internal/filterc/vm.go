@@ -2,13 +2,9 @@ package filterc
 
 import "fmt"
 
-// The bytecode VM. Two dispatch loops execute the same instruction set:
-// runHooked consults Hooks.OnStmt at every opStmt, runFast is the
-// quickened path used when no hooks are installed — it still updates
-// fr.Line and the MaxSteps budget (identical observable accounting) but
-// contains no hook check at all. All non-trivial opcodes are implemented
-// once, in (*vm).step and its helpers, so the loops cannot diverge on
-// semantics; only the handful of hot opcodes are inlined in both.
+// The bytecode VM. One dispatch loop, (*Interp).run, inlines the handful
+// of hot opcodes; every other opcode is implemented in (*vm).step and its
+// helpers.
 
 // vm is the per-activation execution state of the bytecode engine.
 type vm struct {
@@ -70,14 +66,10 @@ func (in *Interp) vmCall(code *Code, fc *funcCode, args []Value, at Pos) (Value,
 		fr.live[i] = true
 	}
 	in.top = fr
-	var ret Value
-	var err error
 	if in.Hooks != nil {
 		in.Hooks.OnEnter(fr)
-		ret, err = in.runHooked(code, fc, fr)
-	} else {
-		ret, err = in.runFast(code, fc, fr)
 	}
+	ret, err := in.run(code, fc, fr)
 	if err != nil {
 		in.top = fr.parent
 		return Value{}, err
@@ -97,290 +89,10 @@ func (in *Interp) vmCall(code *Code, fc *funcCode, args []Value, at Pos) (Value,
 	return ret, nil
 }
 
-// runFast is the quickened dispatch loop for hook-free execution: opStmt
-// costs a line-table store, a step increment and a budget compare.
-func (in *Interp) runFast(code *Code, fc *funcCode, fr *Frame) (Value, error) {
-	m := &vm{in: in, code: code, fc: fc, fr: fr, stack: make([]Value, 0, 8)}
-	cs := fc.code
-	pc := 0
-	for {
-		i := cs[pc]
-		switch i.op {
-		case opStmt:
-			fr.Line = int(i.a)
-			in.steps++
-			if in.MaxSteps > 0 && in.steps > in.MaxSteps {
-				return Value{}, &RuntimeError{Pos: fc.pos[pc],
-					Msg: "statement budget exceeded (runaway loop?)"}
-			}
-		case opConst:
-			m.push(fc.consts[i.a])
-		case opLoadSlot:
-			if !fr.live[i.a] {
-				return Value{}, m.undefErr(pc, i.a)
-			}
-			v := fr.slots[i.a]
-			if v.Elems != nil {
-				v = v.Clone()
-			}
-			m.push(v)
-		case opCheckSlot:
-			if !fr.live[i.a] {
-				return Value{}, m.undefErr(pc, i.a)
-			}
-		case opDeclSlot:
-			fr.slots[i.a] = m.pop()
-			fr.live[i.a] = true
-		case opStoreSlot:
-			rv := m.pop()
-			t := fr.slots[i.a].Type
-			var nv Value
-			if t.Kind == KScalar && t.Base != Str && rv.IsScalar() {
-				// Inlined convertForAssign fast path: Int(t.Base, rv.I).
-				nv = Value{Type: &scalarTypes[t.Base], I: truncate(t.Base, rv.I)}
-			} else {
-				var err error
-				nv, err = convertForAssign(t, rv, fc.pos[pc])
-				if err != nil {
-					return Value{}, err
-				}
-			}
-			fr.slots[i.a] = nv
-			if i.c == 0 {
-				m.push(nv)
-			}
-		case opCompSlot:
-			if err := m.compSlot(pc, i); err != nil {
-				return Value{}, err
-			}
-		case opIncSlot:
-			// Inline the dominant statement form `x++;` (checked + value
-			// discarded); everything else goes through incSlot.
-			if i.c == 3 && fr.live[i.a] && fr.slots[i.a].IsScalar() {
-				lv := &fr.slots[i.a]
-				if i.b == incPre || i.b == incPost {
-					*lv = Int(lv.Type.Base, lv.I+1)
-				} else {
-					*lv = Int(lv.Type.Base, lv.I-1)
-				}
-				break
-			}
-			if err := m.incSlot(pc, i); err != nil {
-				return Value{}, err
-			}
-		case opBinary:
-			r := m.pop()
-			l := m.pop()
-			// Same-singleton-type 32-bit operands keep their base under
-			// promotion; the wrap-around ops inline without the kernel call.
-			if l.Type == r.Type && l.Type.Kind == KScalar && (l.Type.Base == U32 || l.Type.Base == I32) {
-				var x int64
-				ok := true
-				switch i.a {
-				case bAdd:
-					x = l.I + r.I
-				case bSub:
-					x = l.I - r.I
-				case bMul:
-					x = l.I * r.I
-				case bAnd:
-					x = l.I & r.I
-				case bOr:
-					x = l.I | r.I
-				case bXor:
-					x = l.I ^ r.I
-				default:
-					ok = false
-				}
-				if ok {
-					if l.Type.Base == U32 {
-						x = int64(uint32(x))
-					} else {
-						x = int64(int32(x))
-					}
-					m.push(Value{Type: l.Type, I: x})
-					break
-				}
-			}
-			if l.IsScalar() && r.IsScalar() {
-				if v, ok := applyBinaryFast(int(i.a), l.Type.Base, r.Type.Base, l.I, r.I); ok {
-					m.push(v)
-					break
-				}
-				return Value{}, applyBinaryErr(int(i.a), fc.names[i.b], r.I, fc.pos[pc])
-			}
-			v, err := m.binarySlow(int(i.a), fc.names[i.b], l, r, pc)
-			if err != nil {
-				return Value{}, err
-			}
-			m.push(v)
-		case opBinSS:
-			if !fr.live[i.a] {
-				return Value{}, m.undefErr(pc, i.a)
-			}
-			if !fr.live[i.b] {
-				return Value{}, m.undefErr(pc, i.b)
-			}
-			l, r := &fr.slots[i.a], &fr.slots[i.b]
-			if l.IsScalar() && r.IsScalar() {
-				if v, ok := applyBinaryFast(int(i.c), l.Type.Base, r.Type.Base, l.I, r.I); ok {
-					m.push(v)
-					break
-				}
-			}
-			v, err := m.binFused(i.c, *l, *r, pc)
-			if err != nil {
-				return Value{}, err
-			}
-			m.push(v)
-		case opBinSC:
-			if !fr.live[i.a] {
-				return Value{}, m.undefErr(pc, i.a)
-			}
-			l, r := &fr.slots[i.a], &fc.consts[i.b]
-			if l.IsScalar() && r.IsScalar() {
-				if v, ok := applyBinaryFast(int(i.c), l.Type.Base, r.Type.Base, l.I, r.I); ok {
-					m.push(v)
-					break
-				}
-			}
-			v, err := m.binFused(i.c, *l, *r, pc)
-			if err != nil {
-				return Value{}, err
-			}
-			m.push(v)
-		case opBinTS:
-			if !fr.live[i.a] {
-				return Value{}, m.undefErr(pc, i.a)
-			}
-			l := m.pop()
-			r := &fr.slots[i.a]
-			if l.IsScalar() && r.IsScalar() {
-				if v, ok := applyBinaryFast(int(i.c), l.Type.Base, r.Type.Base, l.I, r.I); ok {
-					m.push(v)
-					break
-				}
-			}
-			v, err := m.binFused(i.c, l, *r, pc)
-			if err != nil {
-				return Value{}, err
-			}
-			m.push(v)
-		case opBinTC:
-			l := m.pop()
-			r := &fc.consts[i.a]
-			if l.IsScalar() && r.IsScalar() {
-				if v, ok := applyBinaryFast(int(i.c), l.Type.Base, r.Type.Base, l.I, r.I); ok {
-					m.push(v)
-					break
-				}
-			}
-			v, err := m.binFused(i.c, l, *r, pc)
-			if err != nil {
-				return Value{}, err
-			}
-			m.push(v)
-		case opJFCmpSS, opJFCmpSC:
-			if !fr.live[i.a] {
-				return Value{}, m.undefErr(pc, i.a)
-			}
-			l := &fr.slots[i.a]
-			var r *Value
-			if i.op == opJFCmpSS {
-				if !fr.live[i.b] {
-					return Value{}, m.undefErr(pc, i.b)
-				}
-				r = &fr.slots[i.b]
-			} else {
-				r = &fc.consts[i.b]
-			}
-			id := i.c & 31
-			if l.IsScalar() && r.IsScalar() {
-				a, b := l.I, r.I
-				if promoteBase(l.Type.Base, r.Type.Base) == U32 {
-					a, b = int64(uint32(a)), int64(uint32(b))
-				}
-				var tr bool
-				switch id {
-				case bEq:
-					tr = l.I == r.I
-				case bNe:
-					tr = l.I != r.I
-				case bLt:
-					tr = a < b
-				case bLe:
-					tr = a <= b
-				case bGt:
-					tr = a > b
-				default: // bGe
-					tr = a >= b
-				}
-				if !tr {
-					pc = int(i.c >> 5)
-					continue
-				}
-				break
-			}
-			v, err := m.binFused(id, *l, *r, pc)
-			if err != nil {
-				return Value{}, err
-			}
-			if v.I == 0 {
-				pc = int(i.c >> 5)
-				continue
-			}
-		case opJump:
-			pc = int(i.a)
-			continue
-		case opJumpFalse:
-			if m.pop().I == 0 {
-				pc = int(i.a)
-				continue
-			}
-		case opAndSC:
-			if m.pop().I == 0 {
-				m.push(Int(Bool, 0))
-				pc = int(i.a)
-				continue
-			}
-		case opOrSC:
-			if m.pop().I != 0 {
-				m.push(Int(Bool, 1))
-				pc = int(i.a)
-				continue
-			}
-		case opTruthBool:
-			v := m.pop()
-			m.push(Int(Bool, b2i(v.I != 0)))
-		case opPop:
-			m.stack = m.stack[:len(m.stack)-1]
-		case opKill:
-			for _, s := range fc.scopeSlots[i.a] {
-				fr.live[s] = false
-			}
-		case opCaseEq:
-			v := m.pop()
-			if v.IsScalar() && v.I == fr.slots[i.a].I {
-				pc = int(i.b)
-				continue
-			}
-		case opRet:
-			return m.pop(), nil
-		case opRetVoid:
-			return VoidVal(), nil
-		default:
-			if err := m.step(pc, i); err != nil {
-				return Value{}, err
-			}
-		}
-		pc++
-	}
-}
-
-// runHooked is the debug dispatch loop: identical to runFast except that
-// opStmt also delivers Hooks.OnStmt (checked per statement, like the
-// walker's hookStmt, so hooks may detach themselves mid-run).
-func (in *Interp) runHooked(code *Code, fc *funcCode, fr *Frame) (Value, error) {
+// run is the dispatch loop. opStmt stores the line, charges the MaxSteps
+// budget and delivers Hooks.OnStmt; the hook is checked per statement,
+// like the walker's hookStmt, so a hook may detach itself mid-run.
+func (in *Interp) run(code *Code, fc *funcCode, fr *Frame) (Value, error) {
 	m := &vm{in: in, code: code, fc: fc, fr: fr, stack: make([]Value, 0, 8)}
 	cs := fc.code
 	pc := 0

@@ -26,6 +26,14 @@ func (rt *Runtime) Start() error {
 	rt.started = true
 	rt.registerTargetFuncs()
 	rt.registerObsMetrics()
+	// Interpreters exist from Start on, so a caller can configure them
+	// (the differential replay test selects the walker) before k.Run.
+	for _, f := range rt.actorList {
+		if f.Prog != nil {
+			f.interp = filterc.New(f.Prog, &filterEnv{f: f})
+			f.interp.Hooks = &costHooks{f: f}
+		}
+	}
 	rt.K.Spawn("pedf.init", func(p *sim.Proc) {
 		rt.replayRegistrations(p)
 		rt.spawnActors()
@@ -335,13 +343,8 @@ func (rt *Runtime) spawnActors() {
 		} else {
 			f.proc = rt.M.SpawnOn(f.PE, "flt."+f.Name, func(p *sim.Proc) { rt.filterLoop(p, f) })
 		}
-		if f.Prog != nil {
-			f.interp = filterc.New(f.Prog, &filterEnv{f: f})
-			f.interp.Engine = rt.FilterCEngine
-			f.interp.Hooks = &costHooks{f: f}
-			if rt.Dbg != nil {
-				rt.Dbg.AttachInterp(f.proc, f.interp)
-			}
+		if f.interp != nil && rt.Dbg != nil {
+			rt.Dbg.AttachInterp(f.proc, f.interp)
 		}
 	}
 	for i := range rt.feeders {

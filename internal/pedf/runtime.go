@@ -114,12 +114,6 @@ type Runtime struct {
 	// LinkCap overrides the default FIFO capacity for new links.
 	LinkCap int
 
-	// FilterCEngine selects the filterc execution engine for every actor
-	// interpreter this runtime creates (filterc.EngineDefault follows the
-	// build tag / DFDBG_FILTERC_INTERP). The differential replay tests use
-	// it to run the same application on the walker and on the VM.
-	FilterCEngine filterc.Engine
-
 	modules    map[string]*Module
 	moduleList []*Module
 	actors     map[string]*Filter // filters AND controllers by name

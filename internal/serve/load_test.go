@@ -8,11 +8,12 @@ import (
 )
 
 // loadScript drives one h264 debug session end to end. Every command is
-// deterministic for fixed params: simulation state, trace dumps and
-// static analysis depend only on the kernel's virtual time. Commands
-// whose output folds in process-global state (`metrics` picks up the
-// shared filterc code-cache counters) or iterates Go maps (`trace
-// balance`, `trace activity`, `profile`) are deliberately absent.
+// deterministic for fixed params: simulation state, trace queries and
+// static analysis depend only on the kernel's virtual time, and the
+// trace queries print in link-id and actor-name order. Commands whose
+// output folds in process-global state (`metrics` picks up the shared
+// filterc code-cache counters) or iterates Go maps (`profile`) are
+// deliberately absent.
 var loadScript = []string{
 	"info filters",
 	"filter pipe catch work",
@@ -24,6 +25,8 @@ var loadScript = []string{
 	"info filters",
 	"info links",
 	"trace 30",
+	"trace balance",
+	"trace activity",
 	"graph",
 	"fault status",
 	"analyze",

@@ -22,7 +22,6 @@ import (
 	"dfdbg/internal/obs"
 	"dfdbg/internal/pedf"
 	"dfdbg/internal/sim"
-	"dfdbg/internal/trace"
 	"dfdbg/internal/web"
 )
 
@@ -415,9 +414,11 @@ func buildStack(params SessionParams) (*stack, error) {
 	}
 	k := sim.NewKernel()
 	orec := obs.NewRecorder(1 << 16)
+	// The `trace` queries read token traffic, with payloads, from the ring.
+	orec.EnableKinds(obs.MaskDataflow)
+	orec.SetPayloads(true)
 	k.SetObserver(orec)
 	low := lowdbg.New(k, dbginfo.NewTable())
-	rec := trace.Attach(low)
 	d := core.Attach(low)
 	m := mach.New(k, mach.Config{})
 	rt := pedf.NewRuntime(k, m, low)
@@ -436,7 +437,6 @@ func buildStack(params SessionParams) (*stack, error) {
 		return nil, err
 	}
 	c := cli.New(d, io.Discard)
-	c.Rec = rec
 	c.Obs = orec
 	c.Targets = rt.FaultTargets()
 	c.Full = func() (*analysis.Report, *analysis.Graph, error) {

@@ -22,7 +22,6 @@ func decodeWithEngine(t *testing.T, eng filterc.Engine) ([]int, string) {
 	k := sim.NewKernel()
 	m := mach.New(k, mach.Config{})
 	rt := pedf.NewRuntime(k, m, nil)
-	rt.FilterCEngine = eng
 	bits, err := h264.Encode(h264.GenerateFrame(p), p)
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +32,11 @@ func decodeWithEngine(t *testing.T, eng filterc.Engine) ([]int, string) {
 	}
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range rt.Actors() {
+		if in := f.Interp(); in != nil {
+			in.Engine = eng
+		}
 	}
 	if st, err := k.Run(); err != nil || st != sim.RunIdle {
 		t.Fatalf("run = %v %v", st, err)
