@@ -343,28 +343,7 @@ func BenchmarkDecodeVideo(b *testing.B) {
 // frames/sec of wall time. BENCH_sim.json pins the batched:per_token
 // ratio; benchguard enforces it in CI.
 func BenchmarkDecodeThroughput(b *testing.B) {
-	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7, Frames: 8}
-	bits, err := h264.EncodeSequence(h264.GenerateSequence(p), p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Batch plans are plain data (actor names, link IDs): analyze once on
-	// a throwaway instance and reuse the plans for every decode, the way
-	// a deployment would cache the analyzer's output per application.
-	var plans []pedf.BatchPlan
-	{
-		k := sim.NewKernel()
-		rt := pedf.NewRuntime(k, mach.New(k, mach.Config{}), nil)
-		if _, err := h264.Build(rt, p, bits, false); err != nil {
-			b.Fatal(err)
-		}
-		if plans, err = pedfgraph.BatchPlans(rt, "h264"); err != nil {
-			b.Fatal(err)
-		}
-		if len(plans) == 0 {
-			b.Fatal("no batchable region found in the decoder")
-		}
-	}
+	p, bits, plans := throughputSetup(b)
 	for _, batched := range []bool{false, true} {
 		name := "per_token"
 		if batched {
@@ -372,33 +351,65 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				k := sim.NewKernel()
-				m := mach.New(k, mach.Config{})
-				rt := pedf.NewRuntime(k, m, nil)
-				app, err := h264.Build(rt, p, bits, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := rt.Start(); err != nil {
-					b.Fatal(err)
-				}
-				if batched {
-					if err := rt.EnableBatch(plans); err != nil {
-						b.Fatal(err)
-					}
-					if len(rt.RegionModes()) == 0 {
-						b.Fatal("no region installed")
-					}
-				}
-				if st, err := k.Run(); err != nil || st != sim.RunIdle {
-					b.Fatalf("run = %v %v", st, err)
-				}
-				if _, err := app.OutputSequence(); err != nil {
-					b.Fatal(err)
-				}
+				throughputDecode(b, p, bits, plans, batched)
 			}
 			b.ReportMetric(float64(p.Frames)*float64(b.N)/b.Elapsed().Seconds(), "frames/sec")
 		})
+	}
+}
+
+// throughputSetup encodes BenchmarkDecodeThroughput's 16x16 sequence and
+// computes its batch plans. Batch plans are plain data (actor names,
+// link IDs): analyze once on a throwaway instance and reuse the plans
+// for every decode, the way a deployment would cache the analyzer's
+// output per application.
+func throughputSetup(tb testing.TB) (h264.Params, []byte, []pedf.BatchPlan) {
+	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7, Frames: 8}
+	bits, err := h264.EncodeSequence(h264.GenerateSequence(p), p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	k := sim.NewKernel()
+	rt := pedf.NewRuntime(k, mach.New(k, mach.Config{}), nil)
+	if _, err := h264.Build(rt, p, bits, false); err != nil {
+		tb.Fatal(err)
+	}
+	plans, err := pedfgraph.BatchPlans(rt, "h264")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(plans) == 0 {
+		tb.Fatal("no batchable region found in the decoder")
+	}
+	return p, bits, plans
+}
+
+// throughputDecode is one BenchmarkDecodeThroughput operation: build,
+// start, optionally batch, run to idle and assemble the output.
+func throughputDecode(tb testing.TB, p h264.Params, bits []byte, plans []pedf.BatchPlan, batched bool) {
+	k := sim.NewKernel()
+	m := mach.New(k, mach.Config{})
+	rt := pedf.NewRuntime(k, m, nil)
+	app, err := h264.Build(rt, p, bits, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	if batched {
+		if err := rt.EnableBatch(plans); err != nil {
+			tb.Fatal(err)
+		}
+		if len(rt.RegionModes()) == 0 {
+			tb.Fatal("no region installed")
+		}
+	}
+	if st, err := k.Run(); err != nil || st != sim.RunIdle {
+		tb.Fatalf("run = %v %v", st, err)
+	}
+	if _, err := app.OutputSequence(); err != nil {
+		tb.Fatal(err)
 	}
 }
 

@@ -588,9 +588,11 @@ func (c *CLI) printCmd(expr string) error {
 	return nil
 }
 
-// storeVal appends to the $ history and prints "$N = value".
+// storeVal appends to the $ history and prints "$N = value". The
+// history keeps a copy: v may share storage with a frame slot, a link
+// cell or a read window that the program overwrites later.
 func (c *CLI) storeVal(v filterc.Value) {
-	c.vals = append(c.vals, v)
+	c.vals = append(c.vals, v.Clone())
 	c.printf("$%d = %s\n", len(c.vals), formatValue(v))
 }
 

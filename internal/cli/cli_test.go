@@ -238,6 +238,24 @@ func TestInfoCommands(t *testing.T) {
 	}
 }
 
+// TestValueHistoryKeepsSnapshots checks that $N keeps the value printed
+// at the time: the local it came from lives in frame storage that the
+// next firing of the same filter reuses.
+func TestValueHistoryKeepsSnapshots(t *testing.T) {
+	c, out := session(t)
+	exec(t, c, out, "break ipred.c:"+itoa(h264.IpredAssignLine()))
+	exec(t, c, out, "continue")
+	first := strings.TrimPrefix(exec(t, c, out, "print w"), "$1 = ")
+	exec(t, c, out, "continue")
+	second := strings.TrimPrefix(exec(t, c, out, "print w"), "$2 = ")
+	if first == second {
+		t.Fatalf("both firings print the same w: %s", first)
+	}
+	if got := exec(t, c, out, "print $1"); got != "$3 = "+first {
+		t.Errorf("print $1 = %q, want $3 = %q", got, first)
+	}
+}
+
 func TestBacktraceAndStepping(t *testing.T) {
 	c, out := session(t)
 	line := h264.IpredAssignLine()

@@ -455,11 +455,13 @@ func (d *Debugger) onPopReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 		// A token the model never saw pushed (injected by the debugger
 		// while data breakpoints were disabled, or pushed while they
 		// were off): synthesize it from the observed return value.
+		// The return value is the consumer's read-window entry, which
+		// the next firing overwrites: keep a copy.
 		fv, _ := ctx.Ret.(filterc.Value)
 		d.tokenSeq++
 		tok = &Token{ID: d.tokenSeq, Hop: Hop{
 			From: l.Src.Actor.Name, To: dstActor.Name,
-			Iface: l.Dst.Qualified(), Type: typeName(fv), Val: fv, At: ctx.Proc.Now(),
+			Iface: l.Dst.Qualified(), Type: typeName(fv), Val: fv.Clone(), At: ctx.Proc.Now(),
 		}}
 	}
 	tok.Popped = true

@@ -24,13 +24,13 @@ type synthTarget struct {
 }
 
 func (s *synthTarget) call(fn string, args ...lowdbg.Arg) {
-	if exit := s.low.EnterFunc(s.p, fn, args); exit != nil {
+	if exit := s.low.EnterFunc(s.p, fn, func() []lowdbg.Arg { return args }); exit != nil {
 		exit(nil)
 	}
 }
 
 func (s *synthTarget) callRet(fn string, ret any, args ...lowdbg.Arg) {
-	if exit := s.low.EnterFunc(s.p, fn, args); exit != nil {
+	if exit := s.low.EnterFunc(s.p, fn, func() []lowdbg.Arg { return args }); exit != nil {
 		exit(ret)
 	}
 }

@@ -33,10 +33,10 @@ const (
 	// --- constants and slots ---
 	opConst     // a=const index: push consts[a]
 	opZero      // a=type index: push Zero(types[a])
-	opLoadSlot  // a=slot: push clone of slots[a]; error if slot not live
+	opLoadSlot  // a=slot, c=shared: push slots[a] (a clone unless c=1); error if slot not live
 	opCheckSlot // a=slot: error "undefined variable" if slot not live
 	opDeclSlot  // a=slot: pop v (already converted) → slots[a], mark live
-	opStoreSlot // a=slot: pop v, convertForAssign to slot type, store, push stored
+	opStoreSlot // a=slot, c=discarded: pop v, convertForAssign to slot type, store, push stored unless c=1
 	opCompSlot  // a=slot, b=binop id: pop rv, compound-assign into slot, push stored
 	opIncSlot   // a=slot, b=incMode: ++/-- on a live scalar slot
 	opConv      // a=type index: pop v, convertForAssign(types[a], v), push
@@ -48,14 +48,14 @@ const (
 	opCheckArr  // require ref top to be an array (before the index evals)
 	opRefIndex  // pop idx value; ref top=array elem ref (bounds checked)
 	opRefMember // a=name index: ref top=struct field ref
-	opLoadRef   // pop ref, push clone of *ref
-	opStoreRef  // pop v, pop ref, convertForAssign to (*ref).Type, store, push
+	opLoadRef   // c=shared: pop ref, push *ref (a clone unless c=1)
+	opStoreRef  // c=discarded: pop v, pop ref, convertForAssign to (*ref).Type, store, push
 	opCompRef   // b=binop id: pop rv, pop ref, compound-assign, push stored
 	opIncRef    // a=incMode: pop ref, ++/-- (pre or post)
 
 	// --- pedf accessors ---
-	opData    // a=name index: push clone of *Env.DataRef(name)
-	opAttr    // a=name index: push clone of *Env.AttrRef(name)
+	opData    // a=name index, c=shared: push *Env.DataRef(name) (a clone unless c=1)
+	opAttr    // a=name index, c=shared: push *Env.AttrRef(name) (a clone unless c=1)
 	opIORead  // a=name index: pop idx, push Env.IORead(name, idx)
 	opIOWrite // a=name index: pop v, pop idx, Env.IOWrite, push v
 
@@ -202,6 +202,7 @@ type funcCode struct {
 
 	consts []Value
 	types  []*Type
+	zeros  []Value  // parallel to types: read-only zero value templates (opZero)
 	names  []string // identifier pool: fields, pedf names, intrinsics, messages
 }
 

@@ -106,6 +106,7 @@ func (c *compiler) typeRef(t *Type) int32 {
 	}
 	id := int32(len(c.fc.types))
 	c.fc.types = append(c.fc.types, t)
+	c.fc.zeros = append(c.fc.zeros, Zero(t))
 	c.typeIdx[t] = id
 	return id
 }
@@ -193,6 +194,43 @@ func (c *compiler) compileFunc() {
 	c.closeScope()
 	c.peephole()
 	c.thread()
+	c.markShared()
+}
+
+// markShared decides, for the final instruction stream, where a value
+// may stay shared with its storage (c = 1):
+//   - an aggregate load (opLoadSlot, opLoadRef, opData, opAttr) whose
+//     successor pops the value and copies it before anything can modify
+//     the source: a declaration's conversion (always followed by
+//     opDeclSlot), a store, a call (vmCall copies arguments into the
+//     callee's slots), a return (vmCall clones aggregate results) or an
+//     io write whose result is discarded (the environment copies what it
+//     keeps);
+//   - an opStoreRef whose result is discarded, which then copies into
+//     the destination's existing storage (see assignInto).
+//
+// Every function ends in opRetVoid, so an instruction that is followed
+// by another always has one.
+func (c *compiler) markShared() {
+	code := c.fc.code
+	for pc := 0; pc+1 < len(code); pc++ {
+		next := code[pc+1].op
+		switch code[pc].op {
+		case opLoadSlot, opLoadRef, opData, opAttr:
+			switch next {
+			case opConv, opStoreSlot, opStoreRef, opCallUser, opRet:
+				code[pc].c = 1
+			case opIOWrite:
+				if pc+2 < len(code) && code[pc+2].op == opPop {
+					code[pc].c = 1
+				}
+			}
+		case opStoreRef:
+			if next == opPop {
+				code[pc].c = 1
+			}
+		}
+	}
 }
 
 // peephole fuses adjacent instruction patterns into superinstructions

@@ -445,6 +445,7 @@ func (in *Interp) evalAssign(fr *Frame, e *Assign) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
+		nv = nv.Clone()
 		*lv = nv
 		return nv, nil
 	}

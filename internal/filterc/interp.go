@@ -7,10 +7,16 @@ import "fmt"
 // controllers (scheduling intrinsics).
 type Env interface {
 	// IORead consumes the token at index idx of an input interface. It
-	// may block (the calling simulation process waits for data).
+	// may block (the calling simulation process waits for data). The
+	// result may share element storage with the environment (the pedf
+	// runtime returns its read-window entry); it must stay unchanged
+	// until the top-level call returns. The interpreter never writes
+	// through it and copies it before keeping it.
 	IORead(iface string, idx int64) (Value, error)
 	// IOWrite produces a token at index idx of an output interface. It
-	// may block when the link is full.
+	// may block when the link is full. v may share element storage with
+	// interpreter state: an implementation that keeps v must copy it
+	// (Value.CloneInto).
 	IOWrite(iface string, idx int64, v Value) error
 	// DataRef returns an lvalue for pedf.data.NAME.
 	DataRef(name string) (*Value, error)
@@ -18,6 +24,7 @@ type Env interface {
 	AttrRef(name string) (*Value, error)
 	// Intrinsic handles a call the interpreter does not know (ACTOR_START
 	// and friends). handled=false falls through to "unknown function".
+	// args is only valid during the call.
 	Intrinsic(name string, args []Value) (v Value, handled bool, err error)
 }
 
@@ -59,6 +66,7 @@ type Frame struct {
 	fc     *funcCode // bytecode engine: compiled metadata (slot→name map)
 	slots  []Value   // bytecode engine: variable storage
 	live   []bool    // bytecode engine: which slots are in scope
+	depth  int       // bytecode engine: call depth (0 = outermost)
 }
 
 type scope struct {
@@ -179,6 +187,7 @@ type Interp struct {
 	steps int64
 	top   *Frame
 	code  *Code // cached compiled form (VM engine)
+	acts  []*vm // VM activation records by call depth, reused (see vm)
 }
 
 // New creates an interpreter.
@@ -329,7 +338,7 @@ func (in *Interp) exec(fr *Frame, s Stmt) (ctrl, Value, error) {
 			if err != nil {
 				return ctrlNone, Value{}, err
 			}
-			v = cv
+			v = cv.Clone()
 		}
 		if err := fr.declare(s.Name, v); err != nil {
 			return ctrlNone, Value{}, &RuntimeError{Pos: s.P, Msg: err.Error()}
@@ -509,7 +518,9 @@ func (in *Interp) exec(fr *Frame, s Stmt) (ctrl, Value, error) {
 	}
 }
 
-// convertForAssign coerces v into type t with C semantics.
+// convertForAssign coerces v into type t with C semantics. Aggregates
+// are only type-checked: the result shares v's element storage, and the
+// caller copies it into the destination (Value.CloneInto).
 func convertForAssign(t *Type, v Value, at Pos) (Value, error) {
 	if t.Kind == KScalar {
 		if t.Base == Str {
@@ -526,5 +537,5 @@ func convertForAssign(t *Type, v Value, at Pos) (Value, error) {
 	if !typeCompatible(t, v.Type) {
 		return Value{}, &RuntimeError{Pos: at, Msg: fmt.Sprintf("cannot assign %s to %s", v.Type, t)}
 	}
-	return v.Clone(), nil
+	return v, nil
 }

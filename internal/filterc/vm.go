@@ -6,12 +6,26 @@ import "fmt"
 // of hot opcodes; every other opcode is implemented in (*vm).step and its
 // helpers.
 
-// vm is the per-activation execution state of the bytecode engine.
+// vm is the per-activation execution state of the bytecode engine. An
+// Interp keeps one vm per call depth and reuses it for every later call
+// at that depth, frame slot storage included: calls nest, so
+// activations are last-in-first-out, and a frame is only reused after
+// it has been popped. A steady-state call therefore allocates nothing.
+//
+// Aggregate values follow one ownership rule. Every storage location (a
+// frame slot, pedf data and attributes, a constant or zero template, the
+// environment's read window) owns its element storage exclusively.
+// Operand-stack values may share storage with their source; every
+// instruction that retains a value (declare, store, argument passing,
+// io write) copies it into the destination's existing storage with
+// Value.CloneInto, except an assignment whose value is used (see
+// assignInto), and aggregate return values leave the callee as fresh
+// clones, since the callee's slots are reused.
 type vm struct {
 	in    *Interp
 	code  *Code
 	fc    *funcCode
-	fr    *Frame
+	fr    Frame
 	stack []Value  // operand stack
 	refs  []*Value // lvalue reference stack
 }
@@ -37,6 +51,56 @@ func (m *vm) undefErr(pc int, slot int32) error {
 		Msg: fmt.Sprintf("undefined variable %q", m.fc.slotNames[slot])}
 }
 
+// load pushes the value of a storage location. The walker clones every
+// load so later side effects in the same expression cannot reach the
+// loaded value. When the compiler marked the load shared (i.c == 1; see
+// markShared), the next instruction takes the value off the stack at
+// once and copies it, so the source itself is pushed.
+func (m *vm) load(v *Value, i ins) {
+	if v.Elems != nil && i.c == 0 {
+		m.push(v.Clone())
+		return
+	}
+	m.push(*v)
+}
+
+// assignInto writes an assigned value into dst. A discarded
+// assignment copies into dst's existing storage. An assignment whose
+// value the expression goes on to use gives dst a fresh copy that the
+// pushed value shares, as the walker does: a later store to one of dst's
+// elements in the same expression shows through the pending value, a
+// later whole store does not.
+func assignInto(dst *Value, nv Value, used bool) {
+	if used && nv.Elems != nil {
+		*dst = nv.Clone()
+		return
+	}
+	nv.CloneInto(dst)
+}
+
+// activation returns the reusable activation record for a call at the
+// given depth, reset to run fc.
+func (in *Interp) activation(depth int, code *Code, fc *funcCode) *vm {
+	for len(in.acts) <= depth {
+		in.acts = append(in.acts, &vm{in: in, stack: make([]Value, 0, 8)})
+	}
+	m := in.acts[depth]
+	m.code, m.fc = code, fc
+	m.stack, m.refs = m.stack[:0], m.refs[:0]
+	fr := &m.fr
+	n := fc.nslots
+	if cap(fr.slots) < n {
+		// Keep the old element storage: CloneInto reuses it per slot.
+		slots := make([]Value, n, n+n/2)
+		copy(slots, fr.slots[:cap(fr.slots)])
+		fr.slots = slots
+		fr.live = make([]bool, n, cap(slots))
+	}
+	fr.slots, fr.live = fr.slots[:n], fr.live[:n]
+	clear(fr.live)
+	return m
+}
+
 // vmCall pushes a frame and runs a compiled function, mirroring the
 // walker's call(): same argument conversion, same error positions, same
 // OnEnter/OnExit placement, no OnExit on error.
@@ -46,8 +110,13 @@ func (in *Interp) vmCall(code *Code, fc *funcCode, args []Value, at Pos) (Value,
 		return Value{}, &RuntimeError{Pos: at,
 			Msg: fmt.Sprintf("%s expects %d argument(s), got %d", fn.Name, len(fn.Params), len(args))}
 	}
-	fr := &Frame{Fn: fn, Line: fn.Pos.Line, parent: in.top, fc: fc,
-		slots: make([]Value, fc.nslots), live: make([]bool, fc.nslots)}
+	depth := 0
+	if in.top != nil {
+		depth = in.top.depth + 1
+	}
+	m := in.activation(depth, code, fc)
+	fr := &m.fr
+	fr.Fn, fr.Line, fr.parent, fr.fc, fr.depth = fn, fn.Pos.Line, in.top, fc, depth
 	for i, p := range fn.Params {
 		a := args[i]
 		if p.Type.Kind == KScalar && a.IsScalar() {
@@ -62,20 +131,23 @@ func (in *Interp) vmCall(code *Code, fc *funcCode, args []Value, at Pos) (Value,
 					Msg: fmt.Sprintf("variable %q redeclared in the same scope", p.Name)}
 			}
 		}
-		fr.slots[i] = a.Clone()
+		a.CloneInto(&fr.slots[i])
 		fr.live[i] = true
 	}
 	in.top = fr
 	if in.Hooks != nil {
 		in.Hooks.OnEnter(fr)
 	}
-	ret, err := in.run(code, fc, fr)
+	ret, err := in.run(m)
 	if err != nil {
 		in.top = fr.parent
 		return Value{}, err
 	}
 	if fn.Ret.Kind == KScalar && fn.Ret.Base != Void && ret.IsScalar() {
 		ret = Int(fn.Ret.Base, ret.I)
+	}
+	if ret.Elems != nil {
+		ret = ret.Clone()
 	}
 	if in.Hooks != nil {
 		// The walker pops every block scope before OnExit fires; only
@@ -92,8 +164,8 @@ func (in *Interp) vmCall(code *Code, fc *funcCode, args []Value, at Pos) (Value,
 // run is the dispatch loop. opStmt stores the line, charges the MaxSteps
 // budget and delivers Hooks.OnStmt; the hook is checked per statement,
 // like the walker's hookStmt, so a hook may detach itself mid-run.
-func (in *Interp) run(code *Code, fc *funcCode, fr *Frame) (Value, error) {
-	m := &vm{in: in, code: code, fc: fc, fr: fr, stack: make([]Value, 0, 8)}
+func (in *Interp) run(m *vm) (Value, error) {
+	fc, fr := m.fc, &m.fr
 	cs := fc.code
 	pc := 0
 	for {
@@ -115,35 +187,30 @@ func (in *Interp) run(code *Code, fc *funcCode, fr *Frame) (Value, error) {
 			if !fr.live[i.a] {
 				return Value{}, m.undefErr(pc, i.a)
 			}
-			v := fr.slots[i.a]
-			if v.Elems != nil {
-				v = v.Clone()
-			}
-			m.push(v)
+			m.load(&fr.slots[i.a], i)
 		case opCheckSlot:
 			if !fr.live[i.a] {
 				return Value{}, m.undefErr(pc, i.a)
 			}
 		case opDeclSlot:
-			fr.slots[i.a] = m.pop()
+			m.pop().CloneInto(&fr.slots[i.a])
 			fr.live[i.a] = true
 		case opStoreSlot:
 			rv := m.pop()
-			t := fr.slots[i.a].Type
-			var nv Value
+			dst := &fr.slots[i.a]
+			t := dst.Type
 			if t.Kind == KScalar && t.Base != Str && rv.IsScalar() {
 				// Inlined convertForAssign fast path: Int(t.Base, rv.I).
-				nv = Value{Type: &scalarTypes[t.Base], I: truncate(t.Base, rv.I)}
+				*dst = Value{Type: &scalarTypes[t.Base], I: truncate(t.Base, rv.I)}
 			} else {
-				var err error
-				nv, err = convertForAssign(t, rv, fc.pos[pc])
+				nv, err := convertForAssign(t, rv, fc.pos[pc])
 				if err != nil {
 					return Value{}, err
 				}
+				assignInto(dst, nv, i.c == 0)
 			}
-			fr.slots[i.a] = nv
 			if i.c == 0 {
-				m.push(nv)
+				m.push(*dst)
 			}
 		case opCompSlot:
 			if err := m.compSlot(pc, i); err != nil {
@@ -463,10 +530,12 @@ func (m *vm) binFused(id int32, l, r Value, pc int) (Value, error) {
 // step executes the cold opcodes shared by both dispatch loops. None of
 // them changes the program counter.
 func (m *vm) step(pc int, i ins) error {
-	in, fc, fr := m.in, m.fc, m.fr
+	in, fc, fr := m.in, m.fc, &m.fr
 	switch i.op {
 	case opZero:
-		m.push(Zero(fc.types[i.a]))
+		// The shared zero template is never written: the opDeclSlot
+		// that always follows copies it into the slot.
+		m.push(fc.zeros[i.a])
 
 	case opConv:
 		v, err := convertForAssign(fc.types[i.a], m.pop(), fc.pos[pc])
@@ -528,7 +597,7 @@ func (m *vm) step(pc int, i ins) error {
 		m.refs[len(m.refs)-1] = &b.Elems[fi]
 
 	case opLoadRef:
-		m.push(m.popRef().Clone())
+		m.load(m.popRef(), i)
 
 	case opStoreRef:
 		rv := m.pop()
@@ -537,8 +606,8 @@ func (m *vm) step(pc int, i ins) error {
 		if err != nil {
 			return err
 		}
-		*ref = nv
-		m.push(nv)
+		assignInto(ref, nv, i.c == 0)
+		m.push(*ref)
 
 	case opCompRef:
 		rv := m.pop()
@@ -565,14 +634,14 @@ func (m *vm) step(pc int, i ins) error {
 		if err != nil {
 			return &RuntimeError{Pos: fc.pos[pc], Msg: err.Error()}
 		}
-		m.push(v.Clone())
+		m.load(v, i)
 
 	case opAttr:
 		v, err := in.Env.AttrRef(fc.names[i.a])
 		if err != nil {
 			return &RuntimeError{Pos: fc.pos[pc], Msg: err.Error()}
 		}
-		m.push(v.Clone())
+		m.load(v, i)
 
 	case opIORead:
 		idx := m.pop().I
@@ -646,15 +715,16 @@ func (m *vm) step(pc int, i ins) error {
 	case opIntrinsic:
 		n := int(i.b)
 		name := fc.names[i.a]
-		args := make([]Value, n)
-		copy(args, m.stack[len(m.stack)-n:])
-		m.stack = m.stack[:len(m.stack)-n]
+		// The environment sees the arguments in place on the operand
+		// stack; Env.Intrinsic must not keep args past the call.
+		args := m.stack[len(m.stack)-n:]
 		if in.Env != nil {
 			v, handled, err := in.Env.Intrinsic(name, args)
 			if err != nil {
 				return &RuntimeError{Pos: fc.pos[pc], Msg: err.Error()}
 			}
 			if handled {
+				m.stack = m.stack[:len(m.stack)-n]
 				m.push(v)
 				return nil
 			}

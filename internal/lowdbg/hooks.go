@@ -11,15 +11,18 @@ import (
 
 // EnterFunc is the target-program surface: the PEDF runtime calls it at
 // the entry of every framework API function and of every WORK method,
-// passing the mangled symbol and the parsed arguments. The returned
-// closure (nil when nobody listens) must be invoked at the function's
-// return with the return value — that is how finish breakpoints fire.
+// passing the mangled symbol and a builder for the parsed arguments. The
+// builder (nil means no arguments) runs only when an enabled breakpoint
+// on fn will see the arguments, so a caller pays for building them only
+// then. The returned closure (nil when nobody listens) must be invoked
+// at the function's return with the return value — that is how finish
+// breakpoints fire.
 //
 // This models GDB planting breakpoints at function addresses: with no
 // breakpoint on fn, the cost is one map lookup (the measurable
 // always-attached overhead); with breakpoints, their actions run and may
 // stop the world.
-func (d *Debugger) EnterFunc(p *sim.Proc, fn string, args []Arg) func(ret any) {
+func (d *Debugger) EnterFunc(p *sim.Proc, fn string, build func() []Arg) func(ret any) {
 	d.HookCalls++
 	// Armed-count fast path: with no function breakpoint planted anywhere
 	// the cost is one integer compare — no map lookup, no hashing of fn.
@@ -41,6 +44,10 @@ func (d *Debugger) EnterFunc(p *sim.Proc, fn string, args []Arg) func(ret any) {
 	}
 	if active == 0 {
 		return nil
+	}
+	var args []Arg
+	if build != nil {
+		args = build()
 	}
 	// Live intrusiveness accounting (only while observed: the time.Now
 	// pair costs more than the handlers it measures on the fast path).

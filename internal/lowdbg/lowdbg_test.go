@@ -58,7 +58,7 @@ func newHarness(t *testing.T, src string) *harness {
 	in := filterc.New(prog, env)
 	h := &harness{k: k, d: d, in: in, env: env}
 	h.p = k.Spawn("target", func(p *sim.Proc) {
-		exit := d.EnterFunc(p, "work_symbol", []Arg{{Name: "self", Val: "target"}})
+		exit := d.EnterFunc(p, "work_symbol", func() []Arg { return []Arg{{Name: "self", Val: "target"}} })
 		_, err := in.CallFunc("work", nil)
 		if exit != nil {
 			exit(nil)

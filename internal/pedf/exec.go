@@ -29,6 +29,7 @@ func (rt *Runtime) Start() error {
 	// Interpreters exist from Start on, so a caller can configure them
 	// (the differential replay test selects the walker) before k.Run.
 	for _, f := range rt.actorList {
+		f.workSym = WorkSymbol(f)
 		if f.Prog != nil {
 			f.interp = filterc.New(f.Prog, &filterEnv{f: f})
 			f.interp.Hooks = &costHooks{f: f}
@@ -230,8 +231,10 @@ func (rt *Runtime) Elaborate(strict bool) error {
 		l := &Link{
 			ID: len(rt.links) + 1, Src: src, Dst: dst, Kind: kind,
 			Cap: rt.LinkCap, rt: rt,
-			notEmpty: rt.K.NewEvent(fmt.Sprintf("link%d.notEmpty", len(rt.links)+1)),
-			notFull:  rt.K.NewEvent(fmt.Sprintf("link%d.notFull", len(rt.links)+1)),
+			notEmpty:   rt.K.NewEvent(fmt.Sprintf("link%d.notEmpty", len(rt.links)+1)),
+			notFull:    rt.K.NewEvent(fmt.Sprintf("link%d.notFull", len(rt.links)+1)),
+			pushReason: "push:" + src.Name,
+			popReason:  "pop:" + dst.Name,
 		}
 		src.link = l
 		dst.link = l
@@ -287,48 +290,62 @@ func (rt *Runtime) replayRegistrations(p *sim.Proc) {
 		if m.Parent != nil {
 			parent = m.Parent.Name
 		}
-		finish(rt.hook(p, SymRegisterModule, []lowdbg.Arg{
-			{Name: "module", Val: m.Name}, {Name: "parent", Val: parent},
+		finish(rt.hook(p, SymRegisterModule, func() []lowdbg.Arg {
+			return []lowdbg.Arg{
+				{Name: "module", Val: m.Name}, {Name: "parent", Val: parent},
+			}
 		}))
 		for _, pn := range m.portNames {
 			port := m.ports[pn]
-			finish(rt.hook(p, SymRegisterPort, []lowdbg.Arg{
-				{Name: "actor", Val: m.Name}, {Name: "port", Val: pn},
-				{Name: "dir", Val: port.Dir.String()}, {Name: "type", Val: port.Type.String()},
+			finish(rt.hook(p, SymRegisterPort, func() []lowdbg.Arg {
+				return []lowdbg.Arg{
+					{Name: "actor", Val: m.Name}, {Name: "port", Val: pn},
+					{Name: "dir", Val: port.Dir.String()}, {Name: "type", Val: port.Type.String()},
+				}
 			}))
 		}
 	}
 	for _, f := range rt.actorList {
 		if f.Role == RoleController {
-			finish(rt.hook(p, SymRegisterController, []lowdbg.Arg{
-				{Name: "module", Val: f.Module.Name}, {Name: "controller", Val: f.Name},
+			finish(rt.hook(p, SymRegisterController, func() []lowdbg.Arg {
+				return []lowdbg.Arg{
+					{Name: "module", Val: f.Module.Name}, {Name: "controller", Val: f.Name},
+				}
 			}))
 		} else {
-			finish(rt.hook(p, SymRegisterFilter, []lowdbg.Arg{
-				{Name: "filter", Val: f.Name}, {Name: "module", Val: f.Module.Name},
+			finish(rt.hook(p, SymRegisterFilter, func() []lowdbg.Arg {
+				return []lowdbg.Arg{
+					{Name: "filter", Val: f.Name}, {Name: "module", Val: f.Module.Name},
+				}
 			}))
 		}
 		for _, n := range f.inNames {
 			port := f.ins[n]
-			finish(rt.hook(p, SymRegisterPort, []lowdbg.Arg{
-				{Name: "actor", Val: f.Name}, {Name: "port", Val: n},
-				{Name: "dir", Val: "input"}, {Name: "type", Val: port.Type.String()},
+			finish(rt.hook(p, SymRegisterPort, func() []lowdbg.Arg {
+				return []lowdbg.Arg{
+					{Name: "actor", Val: f.Name}, {Name: "port", Val: n},
+					{Name: "dir", Val: "input"}, {Name: "type", Val: port.Type.String()},
+				}
 			}))
 		}
 		for _, n := range f.outNames {
 			port := f.outs[n]
-			finish(rt.hook(p, SymRegisterPort, []lowdbg.Arg{
-				{Name: "actor", Val: f.Name}, {Name: "port", Val: n},
-				{Name: "dir", Val: "output"}, {Name: "type", Val: port.Type.String()},
+			finish(rt.hook(p, SymRegisterPort, func() []lowdbg.Arg {
+				return []lowdbg.Arg{
+					{Name: "actor", Val: f.Name}, {Name: "port", Val: n},
+					{Name: "dir", Val: "output"}, {Name: "type", Val: port.Type.String()},
+				}
 			}))
 		}
 	}
 	for _, l := range rt.links {
-		finish(rt.hook(p, SymBind, []lowdbg.Arg{
-			{Name: "link", Val: int64(l.ID)},
-			{Name: "src", Val: l.Src.ActorName}, {Name: "src_port", Val: l.Src.Name},
-			{Name: "dst", Val: l.Dst.ActorName}, {Name: "dst_port", Val: l.Dst.Name},
-			{Name: "kind", Val: l.Kind.String()},
+		finish(rt.hook(p, SymBind, func() []lowdbg.Arg {
+			return []lowdbg.Arg{
+				{Name: "link", Val: int64(l.ID)},
+				{Name: "src", Val: l.Src.ActorName}, {Name: "src_port", Val: l.Src.Name},
+				{Name: "dst", Val: l.Dst.ActorName}, {Name: "dst_port", Val: l.Dst.Name},
+				{Name: "kind", Val: l.Kind.String()},
+			}
 		}))
 	}
 }
@@ -405,10 +422,12 @@ func (rt *Runtime) filterLoop(p *sim.Proc, f *Filter) {
 // invokeWork runs one WORK firing under the work-symbol hook.
 func (rt *Runtime) invokeWork(p *sim.Proc, f *Filter) error {
 	f.resetWindows()
-	exit := rt.hook(p, WorkSymbol(f), []lowdbg.Arg{
-		{Name: "self", Val: f.Name},
-		{Name: "module", Val: f.Module.Name},
-		{Name: "firing", Val: int64(f.firings)},
+	exit := rt.hook(p, f.workSym, func() []lowdbg.Arg {
+		return []lowdbg.Arg{
+			{Name: "self", Val: f.Name},
+			{Name: "module", Val: f.Module.Name},
+			{Name: "firing", Val: int64(f.firings)},
+		}
 	})
 	rec := rt.K.Observer()
 	t0 := p.Now()
@@ -436,11 +455,9 @@ func (rt *Runtime) invokeWork(p *sim.Proc, f *Filter) error {
 		}
 	}
 	var err error
-	var ret any
+	var v filterc.Value
 	if f.Prog != nil {
-		var v filterc.Value
 		v, err = f.interp.CallFunc("work", nil)
-		ret = v
 	} else {
 		err = f.NativeWork(&WorkCtx{f: f, p: p})
 	}
@@ -458,9 +475,19 @@ func (rt *Runtime) invokeWork(p *sim.Proc, f *Filter) error {
 		rt.fireHist.Observe(float64(dur))
 	}
 	if exit != nil {
-		exit(ret)
+		exit(workResult(f, v))
 	}
 	return err
+}
+
+// workResult is what a finish breakpoint on an interpreted WORK method
+// sees returned: the filterc value, or nil for a native method. Boxing
+// happens only when a breakpoint asks, keeping firings allocation-free.
+func workResult(f *Filter, v filterc.Value) any {
+	if f.Prog == nil {
+		return nil
+	}
+	return v
 }
 
 // controllerLoop runs the module's step protocol.
@@ -469,8 +496,10 @@ func (rt *Runtime) controllerLoop(p *sim.Proc, c *Filter) {
 	m := c.Module
 	c.setState(StateRunning)
 	for !m.done {
-		exitBegin := rt.hook(p, SymStepBegin, []lowdbg.Arg{
-			{Name: "module", Val: m.Name}, {Name: "step", Val: int64(m.step)},
+		exitBegin := rt.hook(p, SymStepBegin, func() []lowdbg.Arg {
+			return []lowdbg.Arg{
+				{Name: "module", Val: m.Name}, {Name: "step", Val: int64(m.step)},
+			}
 		})
 		if exitBegin != nil {
 			exitBegin(nil)
@@ -486,8 +515,10 @@ func (rt *Runtime) controllerLoop(p *sim.Proc, c *Filter) {
 		if err != nil {
 			panic(err)
 		}
-		exitEnd := rt.hook(p, SymStepEnd, []lowdbg.Arg{
-			{Name: "module", Val: m.Name}, {Name: "step", Val: int64(m.step)},
+		exitEnd := rt.hook(p, SymStepEnd, func() []lowdbg.Arg {
+			return []lowdbg.Arg{
+				{Name: "module", Val: m.Name}, {Name: "step", Val: int64(m.step)},
+			}
 		})
 		if exitEnd != nil {
 			exitEnd(nil)
@@ -514,10 +545,12 @@ func (rt *Runtime) controllerLoop(p *sim.Proc, c *Filter) {
 // invokeController runs one controller WORK step; the return value (or
 // the native bool) decides whether the module continues.
 func (rt *Runtime) invokeController(p *sim.Proc, c *Filter) (bool, error) {
-	exit := rt.hook(p, WorkSymbol(c), []lowdbg.Arg{
-		{Name: "self", Val: c.Name},
-		{Name: "module", Val: c.Module.Name},
-		{Name: "step", Val: int64(c.Module.step)},
+	exit := rt.hook(p, c.workSym, func() []lowdbg.Arg {
+		return []lowdbg.Arg{
+			{Name: "self", Val: c.Name},
+			{Name: "module", Val: c.Module.Name},
+			{Name: "step", Val: int64(c.Module.step)},
+		}
 	})
 	rec := rt.K.Observer()
 	if rec.Wants(obs.KCtlBegin) {
@@ -528,12 +561,10 @@ func (rt *Runtime) invokeController(p *sim.Proc, c *Filter) (bool, error) {
 	}
 	var cont bool
 	var err error
-	var ret any
+	var v filterc.Value
 	if c.Prog != nil {
-		var v filterc.Value
 		v, err = c.interp.CallFunc("work", nil)
 		cont = v.I != 0
-		ret = v
 	} else {
 		cont, err = c.NativeCtl(&CtlCtx{WorkCtx{f: c, p: p}})
 	}
@@ -544,7 +575,7 @@ func (rt *Runtime) invokeController(p *sim.Proc, c *Filter) (bool, error) {
 		})
 	}
 	if exit != nil {
-		exit(ret)
+		exit(workResult(c, v))
 	}
 	c.firings++
 	return cont, err
@@ -556,8 +587,10 @@ func (rt *Runtime) actorStart(p *sim.Proc, m *Module, name string) error {
 	if f == nil {
 		return fmt.Errorf("pedf: ACTOR_START(%q): no such filter in module %s", name, m.Name)
 	}
-	exit := rt.hook(p, SymActorStart, []lowdbg.Arg{
-		{Name: "module", Val: m.Name}, {Name: "filter", Val: name},
+	exit := rt.hook(p, SymActorStart, func() []lowdbg.Arg {
+		return []lowdbg.Arg{
+			{Name: "module", Val: m.Name}, {Name: "filter", Val: name},
+		}
 	})
 	if rec := rt.K.Observer(); rec.Wants(obs.KActorStart) {
 		rec.Record(obs.Event{
@@ -586,8 +619,10 @@ func (rt *Runtime) actorSync(p *sim.Proc, m *Module, name string) error {
 	if f == nil {
 		return fmt.Errorf("pedf: ACTOR_SYNC(%q): no such filter in module %s", name, m.Name)
 	}
-	exit := rt.hook(p, SymActorSync, []lowdbg.Arg{
-		{Name: "module", Val: m.Name}, {Name: "filter", Val: name},
+	exit := rt.hook(p, SymActorSync, func() []lowdbg.Arg {
+		return []lowdbg.Arg{
+			{Name: "module", Val: m.Name}, {Name: "filter", Val: name},
+		}
 	})
 	if rec := rt.K.Observer(); rec.Wants(obs.KActorSync) {
 		rec.Record(obs.Event{
@@ -607,7 +642,7 @@ func (rt *Runtime) actorSync(p *sim.Proc, m *Module, name string) error {
 
 // waitActorInit implements WAIT_FOR_ACTOR_INIT().
 func (rt *Runtime) waitActorInit(p *sim.Proc, m *Module) {
-	exit := rt.hook(p, SymWaitActorInit, []lowdbg.Arg{{Name: "module", Val: m.Name}})
+	exit := rt.hook(p, SymWaitActorInit, func() []lowdbg.Arg { return []lowdbg.Arg{{Name: "module", Val: m.Name}} })
 	rt.waitPending(p, m, "wait:init", func() bool {
 		for _, f := range m.Filters {
 			if f.pendingInit {
@@ -623,7 +658,7 @@ func (rt *Runtime) waitActorInit(p *sim.Proc, m *Module) {
 
 // waitActorSync implements WAIT_FOR_ACTOR_SYNC().
 func (rt *Runtime) waitActorSync(p *sim.Proc, m *Module) {
-	exit := rt.hook(p, SymWaitActorSync, []lowdbg.Arg{{Name: "module", Val: m.Name}})
+	exit := rt.hook(p, SymWaitActorSync, func() []lowdbg.Arg { return []lowdbg.Arg{{Name: "module", Val: m.Name}} })
 	rt.waitPending(p, m, "wait:sync", func() bool {
 		for _, f := range m.Filters {
 			if f.pendingSync {

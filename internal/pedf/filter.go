@@ -85,12 +85,14 @@ func (c *WorkCtx) Filter() string { return c.f.Name }
 
 // Read consumes the next unread token of an input interface (blocking).
 func (c *WorkCtx) Read(iface string) (filterc.Value, error) {
-	return c.f.ioRead(iface, int64(len(c.f.readCache[iface])))
+	return c.ReadAt(iface, int64(len(c.f.readCache[iface])))
 }
 
-// ReadAt reads the token at the given intra-firing index.
+// ReadAt reads the token at the given intra-firing index. The result is
+// the caller's own copy.
 func (c *WorkCtx) ReadAt(iface string, idx int64) (filterc.Value, error) {
-	return c.f.ioRead(iface, idx)
+	v, err := c.f.ioRead(iface, idx)
+	return v.Clone(), err
 }
 
 // Write produces the next token on an output interface (blocking when
@@ -152,9 +154,10 @@ type Filter struct {
 	// NativeCtl runs one controller step; returning false ends the module.
 	NativeCtl func(*CtlCtx) (bool, error)
 
-	rt     *Runtime
-	proc   *sim.Proc
-	interp *filterc.Interp
+	rt      *Runtime
+	proc    *sim.Proc
+	interp  *filterc.Interp
+	workSym string // WorkSymbol(f), fixed at Start
 
 	dataNames []string
 	data      map[string]*filterc.Value
@@ -306,7 +309,10 @@ func (f *Filter) resetWindows() {
 }
 
 // ioRead implements pedf.io.<iface>[idx] reads: tokens are popped from
-// the link into the firing's window until index idx is available.
+// the link into the firing's window until index idx is available. The
+// result is the window entry itself, sharing its element storage: it
+// stays unchanged until resetWindows at the next firing, and a caller
+// that keeps it must copy it.
 func (f *Filter) ioRead(iface string, idx int64) (filterc.Value, error) {
 	port, ok := f.ins[iface]
 	if !ok {
@@ -338,7 +344,7 @@ func (f *Filter) ioRead(iface string, idx int64) (filterc.Value, error) {
 			return filterc.Value{}, err
 		}
 	}
-	return f.readCache[iface][idx].Clone(), nil
+	return f.readCache[iface][idx], nil
 }
 
 // ioWrite implements pedf.io.<iface>[idx] writes; indices must be issued

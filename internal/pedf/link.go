@@ -109,6 +109,10 @@ type Link struct {
 	drops    uint64  // tokens removed without a pop (surgery or drop fault)
 	notEmpty *sim.Event
 	notFull  *sim.Event
+
+	// Blocked-state reasons ("push:<port>", "pop:<port>"), built once at
+	// elaboration so that blocking allocates nothing.
+	pushReason, popReason string
 }
 
 // slot returns the i-th queued token (0 = oldest). The pointer is into
@@ -247,13 +251,12 @@ func (l *Link) push(p *sim.Proc, producer *Filter, pe *mach.PE, v filterc.Value)
 			v.Type, l.Src.Type, l.Src.Qualified())
 	}
 	seq := l.pushes
-	var exit func(any)
-	if l.rt.Dbg != nil {
-		// Hook argument lists are only materialized when a debugger could
-		// observe them; the undebugged hot path skips the allocation.
-		args := append(l.callArgs(seq), lowdbg.Arg{Name: "value", Val: v})
-		exit = l.rt.hookData(p, l.Src.ActorName, l.pushSym(), args)
-	}
+	exit := l.rt.hookData(p, l.Src.ActorName, l.pushSym(), func() []lowdbg.Arg {
+		// v may share storage with the producer's frame or read window,
+		// which later statements and firings overwrite; a debugger keeps
+		// the pushed value, so it gets its own copy.
+		return append(l.callArgs(seq), lowdbg.Arg{Name: "value", Val: v.Clone()})
+	})
 	rec := l.rt.K.Observer()
 	fi := l.rt.K.Faults()
 	capEff := l.Cap
@@ -261,7 +264,7 @@ func (l *Link) push(p *sim.Proc, producer *Filter, pe *mach.PE, v filterc.Value)
 		capEff = fi.LinkCap(uint64(p.Now()), l.Label(), seq, l.Cap)
 	}
 	if l.n >= capEff {
-		reason := "push:" + l.Src.Name
+		reason := l.pushReason
 		t0 := l.blockBegin(rec, p, producer, int32(pe.ID), reason)
 		for l.n >= capEff {
 			if producer != nil {
@@ -373,10 +376,9 @@ func (l *Link) blockEnd(rec *obs.Recorder, p *sim.Proc, f *Filter, pe int32, rea
 // The returned Token's Val is *dst.
 func (l *Link) pop(p *sim.Proc, consumer *Filter, dst *filterc.Value) (Token, error) {
 	seq := l.pops
-	var exit func(any)
-	if l.rt.Dbg != nil {
-		exit = l.rt.hookData(p, l.Dst.ActorName, l.popSym(), l.callArgs(seq))
-	}
+	exit := l.rt.hookData(p, l.Dst.ActorName, l.popSym(), func() []lowdbg.Arg {
+		return l.callArgs(seq)
+	})
 	rec := l.rt.K.Observer()
 	dstPE := int32(l.rt.portPE(l.Dst).ID)
 	if fi := l.rt.K.Faults(); fi != nil {
@@ -385,7 +387,7 @@ func (l *Link) pop(p *sim.Proc, consumer *Filter, dst *filterc.Value) (Token, er
 		}
 	}
 	if l.n == 0 {
-		reason := "pop:" + l.Dst.Name
+		reason := l.popReason
 		t0 := l.blockBegin(rec, p, consumer, dstPE, reason)
 		for l.n == 0 {
 			if consumer != nil {

@@ -180,8 +180,11 @@ func (rt *Runtime) SetCooperation(actors []string) {
 	}
 }
 
-// hook reports a framework API call to the attached debugger.
-func (rt *Runtime) hook(p *sim.Proc, fn string, args []lowdbg.Arg) func(any) {
+// hook reports a framework API or WORK call to the attached debugger.
+// args builds the argument list and runs only when a breakpoint on fn
+// will read it, so the per-firing hook sites allocate nothing while no
+// debugger listens there.
+func (rt *Runtime) hook(p *sim.Proc, fn string, args func() []lowdbg.Arg) func(any) {
 	if rt.Dbg == nil {
 		return nil
 	}
@@ -189,7 +192,7 @@ func (rt *Runtime) hook(p *sim.Proc, fn string, args []lowdbg.Arg) func(any) {
 }
 
 // hookData reports a data-exchange call, honouring framework cooperation.
-func (rt *Runtime) hookData(p *sim.Proc, actor, fn string, args []lowdbg.Arg) func(any) {
+func (rt *Runtime) hookData(p *sim.Proc, actor, fn string, args func() []lowdbg.Arg) func(any) {
 	if rt.Dbg == nil {
 		return nil
 	}

@@ -59,8 +59,10 @@ func (e *Event) fire() {
 	if len(e.waiters) == 0 {
 		return
 	}
+	// The wake loop runs no process code, so the waiter list can be
+	// truncated in place and its backing array reused by the next Wait.
 	woken := e.waiters
-	e.waiters = nil
+	e.waiters = woken[:0]
 	for _, p := range woken {
 		p.wokenByEvent = true
 		e.k.makeRunnable(p)

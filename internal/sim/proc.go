@@ -7,7 +7,8 @@ import (
 )
 
 // Proc is a simulation process: a goroutine that runs only while it holds
-// the kernel's baton, and yields by blocking on an Event or on time.
+// the kernel's baton, and yields by blocking on an Event or on time. A
+// yielding process picks its successor itself (Kernel.handOff).
 type Proc struct {
 	id     int
 	name   string
@@ -109,7 +110,11 @@ func (p *Proc) run(fn func(*Proc)) {
 		}
 		p.state = ProcDone
 		p.waitEvent = nil
-		p.k.yield <- struct{}{}
+		if p.poisoned {
+			p.k.yield <- struct{}{} // back to Shutdown
+			return
+		}
+		p.k.handOff(p)
 	}()
 	if p.poisoned {
 		panic(errProcShutdown)
@@ -130,10 +135,13 @@ func (p *Proc) checkCurrent(op string) {
 	}
 }
 
-// yieldAndWait gives the baton back to the kernel and blocks until the
-// kernel dispatches this process again.
+// yieldAndWait runs the scheduler step for the blocked process and
+// waits until the kernel dispatches it again. When the step picks p
+// itself, p continues at once without parking its goroutine.
 func (p *Proc) yieldAndWait() {
-	p.k.yield <- struct{}{}
+	if p.k.handOff(p) {
+		return
+	}
 	<-p.resume
 	if p.poisoned {
 		panic(errProcShutdown)

@@ -9,6 +9,16 @@
 // are dispatched in FIFO order of when they became runnable, and timed
 // notifications fire in (time, sequence) order.
 //
+// The scheduler runs on whichever goroutine holds the baton. The
+// driver goroutine (the caller of Run/RunUntil) takes the first step of
+// a run; after that, a process that blocks, sleeps or finishes picks
+// the next process by the same rules and resumes it directly, so each
+// dispatch costs one goroutine switch, and none when the yielding
+// process picks itself. The driver is involved only at the ends: it
+// starts the run and receives the terminal RunStatus. Shutdown is the
+// exception: it resumes each unfinished process from the driver with a
+// poison mark and waits for that process to unwind before the next.
+//
 // Determinism is a load-bearing property for the reproduction: the paper
 // argues that breakpoint-induced slowdown does not alter dataflow
 // execution semantics precisely because the execution is deterministic
@@ -230,10 +240,21 @@ type Kernel struct {
 	notes    noteHeap
 	procs    []*Proc
 	current  *Proc
-	yield    chan struct{} // process → kernel baton
 	paused   bool
 	err      error
 	running  bool
+
+	// The scheduler loop of one RunUntil call is spread over the
+	// goroutines that take its steps (see next), so its state lives
+	// here: the amortized wall-budget counter and start, and the
+	// terminal status the last step hands back to the driver over
+	// yield. yield also carries a poisoned process's unwind back to
+	// Shutdown.
+	iter       uint
+	wallStart  time.Time
+	stopStatus RunStatus
+	stopErr    error
+	yield      chan struct{}
 
 	// Batched-execution support (DESIGN §12). RunUntil mirrors its horizon
 	// in `until` so Proc.Sleep can advance the clock inline — no note
@@ -476,6 +497,8 @@ func (k *Kernel) OnPreRun(fn func()) {
 
 // RunUntil is Run with a time horizon: the kernel stops advancing the
 // clock past `until` (events scheduled exactly at `until` still fire).
+// The caller takes the first scheduler step, then parks until a
+// process hands back the terminal status (see the package comment).
 func (k *Kernel) RunUntil(until Time) (RunStatus, error) {
 	if k.running {
 		return RunError, fmt.Errorf("sim: RunUntil called reentrantly")
@@ -489,28 +512,45 @@ func (k *Kernel) RunUntil(until Time) (RunStatus, error) {
 			fn()
 		}
 	}
-	var wallStart time.Time
+	k.iter = 0
 	if k.wallBudget > 0 {
-		wallStart = time.Now()
+		k.wallStart = time.Now()
 	}
-	var iter uint
+	p, st, err := k.next()
+	if p == nil {
+		return st, err
+	}
+	k.resume(p)
+	<-k.yield
+	st, err = k.stopStatus, k.stopErr
+	k.stopErr = nil
+	return st, err
+}
+
+// next is one scheduler step. It returns the process to run, already
+// counted as dispatched, or nil and the status that ends the current
+// RunUntil call. It runs on whichever goroutine holds the baton: the
+// driver at the start of a run, otherwise the process that just
+// yielded.
+func (k *Kernel) next() (*Proc, RunStatus, error) {
+	k.current = nil
 	for {
 		if k.err != nil {
 			err := k.err
 			k.err = nil
-			return RunError, err
+			return nil, RunError, err
 		}
 		if k.paused {
-			return RunPaused, nil
+			return nil, RunPaused, nil
 		}
 		// The wall-budget check is amortized and abort-only: it never
 		// influences which process runs next, so a run that stays within
 		// budget is bit-identical to one with no budget armed.
-		iter++
+		k.iter++
 		k.fastSleeps = 0
-		if k.wallBudget > 0 && iter&4095 == 0 && time.Since(wallStart) > k.wallBudget {
+		if k.wallBudget > 0 && k.iter&4095 == 0 && time.Since(k.wallStart) > k.wallBudget {
 			k.commitStall(k.stallReport(false, true))
-			return RunStalled, nil
+			return nil, RunStalled, nil
 		}
 		if k.runHead < len(k.runnable) {
 			p := k.runnable[k.runHead]
@@ -540,23 +580,22 @@ func (k *Kernel) RunUntil(until Time) (RunStatus, error) {
 					PE: -1, Arg: int64(p.id), Actor: p.name,
 				})
 			}
-			k.dispatch(p)
-			continue
+			return p, 0, nil
 		}
 		// No runnable process: advance time to the next notification.
 		if k.notes.Len() == 0 {
 			if k.watchLimit > 0 {
 				if r := k.stallReport(true, false); len(r.Procs) > 0 {
 					k.commitStall(r)
-					return RunStalled, nil
+					return nil, RunStalled, nil
 				}
 			}
-			return RunIdle, nil
+			return nil, RunIdle, nil
 		}
 		next := k.notes.peek()
-		if next.at > until {
-			k.now = until
-			return RunHorizon, nil
+		if next.at > k.until {
+			k.now = k.until
+			return nil, RunHorizon, nil
 		}
 		if k.watchLimit > 0 && next.at > k.progressAt+k.watchLimit {
 			// No token movement across a full watchdog span. Pretend
@@ -566,7 +605,7 @@ func (k *Kernel) RunUntil(until Time) (RunStatus, error) {
 			k.progressAt = next.at
 			if len(r.Procs) > 0 {
 				k.commitStall(r)
-				return RunStalled, nil
+				return nil, RunStalled, nil
 			}
 		}
 		if next.at > k.now {
@@ -588,6 +627,34 @@ func (k *Kernel) RunUntil(until Time) (RunStatus, error) {
 	}
 }
 
+// resume gives the baton to p and wakes its goroutine.
+func (k *Kernel) resume(p *Proc) {
+	k.current = p
+	p.state = ProcRunning
+	p.resume <- struct{}{}
+}
+
+// handOff passes the baton on from self, the process that just
+// stopped running: to the next process, or, when the run is over, back
+// to the driver with the terminal status. It reports whether self was
+// picked again, in which case self keeps running with no goroutine
+// switch at all.
+func (k *Kernel) handOff(self *Proc) bool {
+	p, st, err := k.next()
+	switch {
+	case p == nil:
+		k.stopStatus, k.stopErr = st, err
+		k.yield <- struct{}{}
+	case p == self:
+		k.current = p
+		p.state = ProcRunning
+		return true
+	default:
+		k.resume(p)
+	}
+	return false
+}
+
 // Shutdown tears the kernel down: every process that has not finished
 // is resumed one last time with a poison mark and unwinds via a
 // sentinel panic, so no goroutine outlives the kernel. A debug server
@@ -595,6 +662,10 @@ func (k *Kernel) RunUntil(until Time) (RunStatus, error) {
 // without it, parked process goroutines (blocked on the baton) would
 // leak for the life of the server. Must be called from the driver
 // goroutine while Run is not executing. Idempotent.
+//
+// Unlike a run, teardown is driver-mediated: the driver resumes each
+// poisoned process in turn and waits for its unwind to hand the baton
+// straight back, so no scheduler step runs.
 func (k *Kernel) Shutdown() error {
 	if k.running {
 		return fmt.Errorf("sim: Shutdown called while the kernel is running")
@@ -604,9 +675,7 @@ func (k *Kernel) Shutdown() error {
 			continue
 		}
 		p.poisoned = true
-		p.state = ProcRunning
-		k.current = p
-		p.resume <- struct{}{}
+		k.resume(p)
 		<-k.yield
 		k.current = nil
 	}
@@ -615,15 +684,6 @@ func (k *Kernel) Shutdown() error {
 	k.runnable = nil
 	k.runHead = 0
 	return nil
-}
-
-// dispatch hands the baton to p and waits for it to yield back.
-func (k *Kernel) dispatch(p *Proc) {
-	k.current = p
-	p.state = ProcRunning
-	p.resume <- struct{}{}
-	<-k.yield
-	k.current = nil
 }
 
 // Blocked returns a DeadlockInfo if any live process is blocked on an
