@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dfdbg/internal/analysis/pedfgraph"
+	"dfdbg/internal/core"
 	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/fault"
 	"dfdbg/internal/h264"
@@ -126,10 +127,12 @@ func TestBatchDifferentialDecode(t *testing.T) {
 }
 
 // TestBatchMidRunDemotion drives the batch/demote state machine through
-// a live debug session: arming a breakpoint on a region actor demotes
-// the region mid-run, deleting it promotes the region back, armed
-// instrumentation outside the region leaves it batched, and the decode
-// still completes with per-token-identical output.
+// a live debug session with core attached: its observer breakpoints
+// leave the region batched, while anything armed that can stop the
+// world demotes it — a breakpoint inside or outside the region, a
+// catchpoint core evaluates in its internal breakpoints, a fault plan —
+// and removing it promotes the region back. The decode still completes
+// with per-token-identical output.
 func TestBatchMidRunDemotion(t *testing.T) {
 	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7, Frames: 2}
 	bits, err := h264.EncodeSequence(h264.GenerateSequence(p), p)
@@ -141,6 +144,7 @@ func TestBatchMidRunDemotion(t *testing.T) {
 
 	k := sim.NewKernel()
 	low := lowdbg.New(k, dbginfo.NewTable())
+	d := core.Attach(low)
 	m := mach.New(k, mach.Config{})
 	rt := pedf.NewRuntime(k, m, low)
 	app, err := h264.Build(rt, p, bits, false)
@@ -148,6 +152,10 @@ func TestBatchMidRunDemotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Run the framework's initialization so core reconstructs the graph.
+	if _, err := k.RunUntil(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.EnableBatch(plans); err != nil {
@@ -159,16 +167,36 @@ func TestBatchMidRunDemotion(t *testing.T) {
 	}
 
 	// A breakpoint on an actor OUTSIDE the region (bh is dynamic, so the
-	// analyzer keeps it off the plan) must not demote the region.
+	// analyzer keeps it off the plan) demotes the region too: a stop
+	// there would expose region actors that ran ahead lazily.
 	outside, err := low.BreakFunc(dbginfo.MangleFilterWork("bh"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !region().Batched {
-		t.Fatalf("breakpoint outside the region demoted it: %+v", region())
+	if mode := region(); mode.Batched || !strings.Contains(mode.Reason, "breakpoint") {
+		t.Fatalf("breakpoint outside the region did not demote: %+v", mode)
 	}
 	if err := low.DeleteBp(outside.ID); err != nil {
 		t.Fatal(err)
+	}
+	if !region().Batched {
+		t.Fatalf("region did not promote after breakpoint removal: %+v", region())
+	}
+
+	// A catchpoint core evaluates inside its internal breakpoints can
+	// stop the world: it demotes, and deleting it promotes again.
+	cp, err := d.CatchScheduledOf("mb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode := region(); mode.Batched || !strings.Contains(mode.Reason, "catchpoint") {
+		t.Fatalf("scheduled catchpoint did not demote: %+v", mode)
+	}
+	if err := d.DeleteCatch(cp.ID); err != nil {
+		t.Fatal(err)
+	}
+	if !region().Batched {
+		t.Fatalf("region did not promote after catchpoint removal: %+v", region())
 	}
 
 	// Arm a breakpoint on a region actor: demote, and hit it mid-run.
@@ -202,16 +230,6 @@ func TestBatchMidRunDemotion(t *testing.T) {
 	k.SetFaults(nil)
 	if !region().Batched {
 		t.Fatalf("region did not promote after faults cleared: %+v", region())
-	}
-
-	// A hold (the serving layer's "debug client attached") demotes too.
-	rt.SetBatchHold("debug client attached")
-	if mode := region(); mode.Batched || mode.Reason != "debug client attached" {
-		t.Fatalf("hold did not demote: %+v", mode)
-	}
-	rt.SetBatchHold("")
-	if !region().Batched {
-		t.Fatalf("region did not promote after hold cleared: %+v", region())
 	}
 
 	if ev := low.Continue(); ev.Kind != lowdbg.StopDone || ev.Deadlock != nil {

@@ -219,15 +219,13 @@ func buildSolo(p h264.Params, bug h264.Bug, fo faultOpts, out io.Writer) (*soloS
 		return pedfgraph.Analyze(rt, "h264")
 	}
 	// Arm the batched execution engine: regions the analyzer proves SDF
-	// run schedule-driven whenever no instrumentation is armed on them,
-	// and demote to the per-token path the moment one is. `batch` shows
-	// the live per-region mode.
+	// run schedule-driven while nothing armed can stop the world, and
+	// demote to the per-token path the moment something can. `batch`
+	// shows the live per-region mode.
 	if _, err := pedfgraph.EnableBatch(rt, "h264"); err != nil {
 		return nil, err
 	}
-	c.Batch = func() (string, []pedf.RegionMode) {
-		return rt.BatchHold(), rt.RegionModes()
-	}
+	c.Batch = rt.RegionModes
 	return &soloStack{k: k, orec: orec, m: m, rt: rt, d: d, c: c}, nil
 }
 

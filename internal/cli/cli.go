@@ -69,9 +69,9 @@ type CLI struct {
 	// observability UI on the given address and returns the bound URL.
 	StartWeb func(addr string) (string, error)
 	// Batch, when set, enables the `batch` command: it reports the
-	// batched-execution mode of every proven-SDF region (hold reason plus
-	// per-region batched/per-token state, pedf.Runtime.RegionModes).
-	Batch func() (hold string, regions []pedf.RegionMode)
+	// batched-execution mode of every proven-SDF region
+	// (pedf.Runtime.RegionModes).
+	Batch func() []pedf.RegionMode
 	// Ckpt, when set, enables the checkpoint/restore/reverse-execution
 	// commands (DESIGN §13). See CkptHooks.
 	Ckpt *CkptHooks
@@ -355,8 +355,8 @@ func (c *CLI) regionsCmd(rest []string) error {
 
 // batchCmd reports the batched-execution mode of every proven-SDF
 // region: whether it currently runs schedule-driven or per-token, and
-// the demotion reason (an armed breakpoint, watchpoint, fault plan or
-// attach hold forces the per-token path; see DESIGN §12).
+// the demotion reason — an armed fault plan, or the first armed item
+// that can stop the world (DESIGN §12).
 func (c *CLI) batchCmd(rest []string) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("usage: batch")
@@ -364,13 +364,10 @@ func (c *CLI) batchCmd(rest []string) error {
 	if c.Batch == nil {
 		return fmt.Errorf("batched execution is not wired on this session")
 	}
-	hold, regions := c.Batch()
+	regions := c.Batch()
 	if len(regions) == 0 {
 		c.printf("no batchable regions (batched engine not enabled or nothing proven SDF)\n")
 		return nil
-	}
-	if hold != "" {
-		c.printf("global hold: %s\n", hold)
 	}
 	for _, r := range regions {
 		mode := "batched"

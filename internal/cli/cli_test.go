@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dfdbg/internal/analysis/pedfgraph"
 	"dfdbg/internal/core"
 	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/h264"
@@ -19,6 +20,13 @@ import (
 // session builds the full stack around the H.264 case study and boots
 // the initialization phase.
 func session(t *testing.T) (*CLI, *strings.Builder) {
+	t.Helper()
+	c, out, _ := sessionRT(t)
+	return c, out
+}
+
+// sessionRT is session that also returns the PEDF runtime.
+func sessionRT(t *testing.T) (*CLI, *strings.Builder, *pedf.Runtime) {
 	t.Helper()
 	k := sim.NewKernel()
 	low := lowdbg.New(k, dbginfo.NewTable())
@@ -40,7 +48,7 @@ func session(t *testing.T) (*CLI, *strings.Builder) {
 		t.Fatalf("boot: %v %v", st, err)
 	}
 	var out strings.Builder
-	return New(d, &out), &out
+	return New(d, &out), &out, rt
 }
 
 // exec runs a command and returns the output produced since the last call.
@@ -740,5 +748,39 @@ func TestCompleteCommandWords(t *testing.T) {
 	}
 	if len(c.CompleteLine("pro")) == 0 {
 		t.Error("no completions for pro")
+	}
+}
+
+// TestBatchCommand follows `batch` through arm, disarm and a fault
+// plan: with core attached and nothing armed that can stop the world
+// the region runs batched, and each stopping item or an armed fault
+// plan demotes it with its reason.
+func TestBatchCommand(t *testing.T) {
+	c, out, rt := sessionRT(t)
+	if err := c.Execute("batch"); err == nil || !strings.Contains(err.Error(), "not wired") {
+		t.Fatalf("batch without a runtime hook: %v", err)
+	}
+	if _, err := pedfgraph.EnableBatch(rt, "h264"); err != nil {
+		t.Fatal(err)
+	}
+	c.Batch = rt.RegionModes
+	region := "region 0 [hwcfg ipf ipred mb pipe red]: "
+	schedule := "  schedule: hwcfg red pipe ipred ipf mb\n"
+	for _, step := range []struct{ cmd, mode string }{
+		{"", "batched"},
+		{"filter mb catch scheduled", "per-token (catchpoint #1 on mb (scheduled))"},
+		{"delete catch 1", "batched"},
+		{"filter pipe catch work", "per-token (breakpoint on PipeFilter_work_function)"},
+		{"continue", "per-token (breakpoint on PipeFilter_work_function)"},
+		{"delete catch 2", "batched"},
+		{"fault add panic filter mb @ 2", "per-token (fault plan armed)"},
+		{"fault clear", "batched"},
+	} {
+		if step.cmd != "" {
+			exec(t, c, out, step.cmd)
+		}
+		if got, want := exec(t, c, out, "batch"), region+step.mode+"\n"+schedule; got != want {
+			t.Fatalf("after %q:\n got %q\nwant %q", step.cmd, got, want)
+		}
 	}
 }

@@ -116,7 +116,23 @@ func (d *Debugger) addCatch(c *Catchpoint) *Catchpoint {
 	c.ID = d.nextCatchID
 	c.Enabled = true
 	d.catchpoints = append(d.catchpoints, c)
+	d.syncInternalStop()
 	return c
+}
+
+// syncInternalStop tells the low-level debugger whether one of this
+// layer's internal breakpoints can stop the world: exactly while a
+// catchpoint evaluated inside them is held, enabled or not. CatchWork
+// is not one — it stops through its own user breakpoint.
+func (d *Debugger) syncInternalStop() {
+	reason := ""
+	for _, c := range d.catchpoints {
+		if c.Kind != CatchWork {
+			reason = fmt.Sprintf("catchpoint #%d on %s (%s)", c.ID, c.Actor, c.Kind)
+			break
+		}
+	}
+	d.Low.SetInternalStop(reason)
 }
 
 // Catchpoints lists the planted dataflow catchpoints.
@@ -149,6 +165,7 @@ func (d *Debugger) DeleteCatch(id int) error {
 				_ = d.Low.DeleteBp(c.workBp.ID)
 			}
 			d.catchpoints = append(d.catchpoints[:i], d.catchpoints[i+1:]...)
+			d.syncInternalStop()
 			return nil
 		}
 	}

@@ -164,11 +164,15 @@ type Debugger struct {
 	armedStmt int // line breakpoints + watchpoints + pending step request
 
 	// armWatchers run after every armed-surface change (same sites that
-	// maintain the counters above). The batched-execution layer hooks
-	// here to demote proven-SDF regions the instant instrumentation
-	// lands on one of their actors, and to re-promote on removal. All
-	// arming happens world-stopped, so watchers run race-free.
+	// maintain the counters above, plus SetInternalStop). The batched-
+	// execution layer hooks here to demote proven-SDF regions the
+	// instant anything armed can stop the world, and to re-promote once
+	// nothing can. Arming happens world-stopped or inside a hook of the
+	// one running process, so watchers run race-free.
 	armWatchers []func()
+	// internalStop is the SetInternalStop reason ("" when no internal
+	// breakpoint can stop).
+	internalStop string
 
 	objects map[string]*filterc.Value // registered data objects by symbol
 	interps map[*sim.Proc]*filterc.Interp
@@ -243,39 +247,41 @@ func (d *Debugger) armChanged() {
 	}
 }
 
-// Armed reports whether any instrumentation is currently armed on
-// either hook surface.
-func (d *Debugger) Armed() bool { return d.armedFunc > 0 || d.armedStmt > 0 }
-
-// ArmedTargets describes the armed instrumentation surface in terms a
-// higher layer can map onto actors: which function symbols carry
-// breakpoints, which source files carry line breakpoints, which data
-// symbols are watched, and which process owns a pending step request.
-type ArmedTargets struct {
-	FuncSyms []string
-	Files    []string
-	DataSyms []string
-	StepProc *sim.Proc
-}
-
-// ArmedTargets snapshots the armed surface (see ArmedTargets type).
-func (d *Debugger) ArmedTargets() ArmedTargets {
-	var t ArmedTargets
-	for sym := range d.funcBPs {
-		t.FuncSyms = append(t.FuncSyms, sym)
-	}
-	for key := range d.lineBPs {
-		if i := strings.LastIndexByte(key, ':'); i >= 0 {
-			t.Files = append(t.Files, key[:i])
+// StopReason returns why the armed instrumentation could stop the
+// world — the reason of the first armed item that can — or "" when
+// nothing armed can. User breakpoints (enabled or not), watchpoints and
+// a pending step request can always stop; internal breakpoints only
+// while their owner reports so through SetInternalStop.
+func (d *Debugger) StopReason() string {
+	var first *Breakpoint
+	for _, bp := range d.bps {
+		if !bp.Internal && (first == nil || bp.ID < first.ID) {
+			first = bp
 		}
 	}
-	for _, w := range d.watchpoints {
-		t.DataSyms = append(t.DataSyms, w.Sym)
+	switch {
+	case first != nil && first.Kind == BpLine:
+		return fmt.Sprintf("line breakpoint at %s:%d", first.File, first.Line)
+	case first != nil:
+		return "breakpoint on " + first.Sym
+	case len(d.watchpoints) > 0:
+		return "watchpoint on " + d.watchpoints[0].Sym
+	case d.stepKind != stepNone:
+		return "step request"
 	}
-	if d.stepKind != stepNone {
-		t.StepProc = d.stepProc
+	return d.internalStop
+}
+
+// SetInternalStop records whether an internal breakpoint's action can
+// currently return DispStop: the owning layer passes the reason while
+// it holds a stop condition it evaluates inside its internal
+// breakpoints, and "" once it holds none. Arm watchers run on change.
+func (d *Debugger) SetInternalStop(reason string) {
+	if reason == d.internalStop {
+		return
 	}
-	return t
+	d.internalStop = reason
+	d.armChanged()
 }
 
 // BpHits returns how many hook crossings ran at least one breakpoint

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dfdbg/internal/lowdbg"
 	"dfdbg/internal/obs"
 )
 
@@ -18,12 +17,14 @@ import (
 // this fires whole schedule periods within one dispatch while keeping
 // every recorded timestamp identical to the per-token engine.
 //
-// Eligibility is revoked — a region is "demoted" back to the per-token
-// path, mid-run — the moment anything could observe a difference: a
-// fault plan is armed (trigger indices count per-token), any debugger
-// instrumentation lands on a region actor (or on a surface that can
-// stop anywhere, like a watchpoint), or a higher layer places an
-// explicit hold (the web layer, while a debug client is attached).
+// One rule decides the mode: every planned region runs batched exactly
+// while no fault plan is armed (trigger indices count per-token
+// actions) and nothing armed in the debugger can stop the world
+// (lowdbg.Debugger.StopReason). The rule is global: a stop anywhere
+// exposes every actor's position, and a lazy actor may have run ahead
+// of where the per-token engine would have parked it. Observer
+// breakpoints that only update a model never demote — every function
+// hook site is a flush point, so they see identical times either way.
 
 // BatchRing sizes one intra-region link ring from its proven bound.
 type BatchRing struct {
@@ -56,7 +57,8 @@ type RegionMode struct {
 // unknown names) are skipped — those regions simply stay on the
 // per-token path. Call after Start; demotion/promotion tracking is
 // wired into the debugger's arm watcher and the kernel's fault watcher,
-// so mode changes are automatic from here on.
+// so mode changes are automatic from here on. Not calling it is the
+// per-token reference.
 func (rt *Runtime) EnableBatch(plans []BatchPlan) error {
 	if !rt.started {
 		return fmt.Errorf("pedf: EnableBatch before Start")
@@ -72,11 +74,6 @@ func (rt *Runtime) EnableBatch(plans []BatchPlan) error {
 		}
 		if !eligible {
 			continue
-		}
-		for _, name := range plan.Actors {
-			f := rt.actors[name]
-			f.batched = true
-			f.batchRegion = plan.Region
 		}
 		for _, r := range plan.Rings {
 			for _, l := range rt.links {
@@ -99,76 +96,49 @@ func (rt *Runtime) EnableBatch(plans []BatchPlan) error {
 	return nil
 }
 
-// SetBatchHold demotes every planned region with the given reason until
-// cleared with an empty string. The serving layer holds batching while
-// an interactive debug client is attached to the session, matching the
-// ISSUE's "web attach" demotion rule even before any breakpoint lands.
-func (rt *Runtime) SetBatchHold(reason string) {
-	rt.batchHold = reason
-	rt.recomputeBatch()
-}
-
-// BatchHold returns the active hold reason ("" when none).
-func (rt *Runtime) BatchHold() string { return rt.batchHold }
-
 // RegionModes reports the execution mode of every planned region (empty
 // when EnableBatch was never called or installed nothing).
 func (rt *Runtime) RegionModes() []RegionMode {
 	return append([]RegionMode(nil), rt.batchModes...)
 }
 
-// recomputeBatch re-derives each region's mode from the current fault,
-// debugger and hold state, applies it to the actors, and emits one
-// KBatchMode event per changed region. Runs under a stopped world
-// (arming and fault changes only happen between dispatches), so flag
-// flips are race-free; parked lazy actors provably hold no unflushed
-// time (they only yield at flush points).
+// recomputeBatch re-derives the mode every region shares from the fault
+// and debugger state and, when it changed, applies it to the actors and
+// emits one KBatchMode event per region. Arming and fault changes
+// happen between dispatches or inside a hook of the one running
+// process, so flag flips are race-free; parked lazy actors provably
+// hold no unflushed time (they only yield at flush points).
 func (rt *Runtime) recomputeBatch() {
 	if len(rt.batchPlans) == 0 {
 		return
 	}
-	hold := rt.batchHold
-	if hold == "" && rt.K.Faults() != nil {
-		hold = "fault plan armed"
+	reason := ""
+	if rt.K.Faults() != nil {
+		reason = "fault plan armed"
+	} else if rt.Dbg != nil {
+		reason = rt.Dbg.StopReason()
 	}
-	var at lowdbg.ArmedTargets
-	armed := false
-	if hold == "" && rt.Dbg != nil && rt.Dbg.Armed() {
-		at = rt.Dbg.ArmedTargets()
-		armed = true
+	if len(rt.batchModes) == len(rt.batchPlans) && rt.batchModes[0].Reason == reason {
+		return
 	}
-	prev := rt.batchModes
-	modes := make([]RegionMode, 0, len(rt.batchPlans))
-	var changed []RegionMode
-	for i, plan := range rt.batchPlans {
-		reason := hold
-		if reason == "" && armed {
-			reason = rt.regionArmReason(plan, at)
-		}
-		mode := RegionMode{
+	rt.batchModes = rt.batchModes[:0]
+	for _, plan := range rt.batchPlans {
+		rt.batchModes = append(rt.batchModes, RegionMode{
 			Region:   plan.Region,
 			Actors:   plan.Actors,
 			Schedule: plan.Schedule,
 			Batched:  reason == "",
 			Reason:   reason,
-		}
+		})
 		for _, name := range plan.Actors {
-			if f := rt.actors[name]; f != nil {
-				f.lazy = mode.Batched
-			}
+			rt.actors[name].lazy = reason == ""
 		}
-		if i >= len(prev) || prev[i].Batched != mode.Batched || prev[i].Reason != mode.Reason {
-			changed = append(changed, mode)
-		}
-		modes = append(modes, mode)
 	}
-	rt.batchModes = modes
-	if rec := rt.K.Observer(); rec.Wants(obs.KBatchMode) && len(changed) > 0 {
-		// Mode flips arrive in bursts (every region at once when a fault
-		// plan arms); compose them in the recorder's arena and commit in
-		// one call.
-		evs := rec.Scratch(len(changed))
-		for i, c := range changed {
+	if rec := rt.K.Observer(); rec.Wants(obs.KBatchMode) {
+		// Every region flips at once; compose the burst in the
+		// recorder's arena and commit it in one call.
+		evs := rec.Scratch(len(rt.batchModes))
+		for i, c := range rt.batchModes {
 			b := int64(0)
 			if c.Batched {
 				b = 1
@@ -181,62 +151,4 @@ func (rt *Runtime) recomputeBatch() {
 		}
 		rec.RecordBatch(evs)
 	}
-}
-
-// regionArmReason maps the debugger's armed surface onto one region:
-// it returns a non-empty demotion reason when any armed instrumentation
-// could stop or observe a region actor, and "" when the armed surface
-// provably cannot touch the region.
-func (rt *Runtime) regionArmReason(plan BatchPlan, at lowdbg.ArmedTargets) string {
-	inRegion := func(actor string) bool {
-		for _, a := range plan.Actors {
-			if a == actor {
-				return true
-			}
-		}
-		return false
-	}
-	for _, sym := range at.FuncSyms {
-		s := rt.Syms.Lookup(sym)
-		if s == nil || s.Owner == "" {
-			// Runtime symbols (link push/pop, scheduling calls) announce
-			// on every actor; unknown symbols get the same conservative
-			// treatment.
-			return "breakpoint on " + sym
-		}
-		if inRegion(s.Owner) {
-			return "breakpoint on " + sym
-		}
-	}
-	for _, file := range at.Files {
-		for _, a := range plan.Actors {
-			if f := rt.actors[a]; f != nil && f.SourceFile == file {
-				return "line breakpoint in " + file
-			}
-		}
-	}
-	if len(at.DataSyms) > 0 {
-		// Watchpoint change detection can fire at any actor's next
-		// statement, regardless of who owns the watched object; every
-		// region demotes while one is armed.
-		return "watchpoint on " + at.DataSyms[0]
-	}
-	if at.StepProc != nil {
-		mapped := false
-		for _, a := range plan.Actors {
-			if f := rt.actors[a]; f != nil && f.proc == at.StepProc {
-				return "step request on " + a
-			}
-		}
-		for _, f := range rt.actorList {
-			if f.proc == at.StepProc {
-				mapped = true
-				break
-			}
-		}
-		if !mapped {
-			return "step request on unknown process"
-		}
-	}
-	return ""
 }

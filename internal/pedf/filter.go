@@ -185,16 +185,14 @@ type Filter struct {
 	readCache  map[string][]filterc.Value
 	writeCount map[string]int
 
-	// Batched execution (DESIGN §12). batched marks membership in a
-	// proven-SDF region plan; lazy is the live mode bit, flipped by
-	// Runtime.recomputeBatch whenever the fault/debugger/hold state
-	// changes. While lazy, statement costs accumulate in lazyNS and are
-	// flushed as a single sleep before any externally observable action,
-	// so recorded timestamps match the per-token engine exactly.
-	batched     bool
-	batchRegion int
-	lazy        bool
-	lazyNS      sim.Duration
+	// Batched execution (DESIGN §12). lazy is the live mode bit of a
+	// proven-SDF region member, flipped by Runtime.recomputeBatch
+	// whenever the fault/debugger state changes. While lazy, statement
+	// costs accumulate in lazyNS and are flushed as a single sleep
+	// before any externally observable action, so recorded timestamps
+	// match the per-token engine exactly.
+	lazy   bool
+	lazyNS sim.Duration
 }
 
 // flushLazy pays the accumulated lazy compute time in one sleep. Must

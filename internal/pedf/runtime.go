@@ -133,8 +133,7 @@ type Runtime struct {
 	// Batched execution engine state (batch.go / DESIGN §12).
 	batchPlans []BatchPlan
 	batchModes []RegionMode
-	batchHold  string // non-empty demotes every region (e.g. debug client attached)
-	batchWired bool   // arm/fault watchers installed
+	batchWired bool // arm/fault watchers installed
 }
 
 // NewRuntime creates a runtime. dbg may be nil (undebugged run).

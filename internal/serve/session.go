@@ -442,18 +442,14 @@ func buildStack(params SessionParams) (*stack, error) {
 	c.Full = func() (*analysis.Report, *analysis.Graph, error) {
 		return pedfgraph.Analyze(rt, "h264")
 	}
-	// Arm the batched engine, then hold it demoted for the session's
-	// lifetime: a dfserve session exists because an interactive debug
-	// client attached, and an attached client must observe the per-token
-	// execution it would single-step (DESIGN §12). The `batch` command
-	// and /batch endpoint surface the hold.
+	// Arm the batched engine: proven-SDF regions run schedule-driven
+	// while nothing armed can stop the world, and demote the moment
+	// something can (DESIGN §12). The `batch` command and the /batch
+	// endpoint show the live mode.
 	if _, err := pedfgraph.EnableBatch(rt, "h264"); err != nil {
 		return nil, err
 	}
-	rt.SetBatchHold("debug client attached")
-	c.Batch = func() (string, []pedf.RegionMode) {
-		return rt.BatchHold(), rt.RegionModes()
-	}
+	c.Batch = rt.RegionModes
 	return &stack{cli: c, k: k, m: m, rec: orec, rt: rt}, nil
 }
 

@@ -420,3 +420,52 @@ func TestPollerDuringContinue(t *testing.T) {
 	cancel()
 	wg.Wait()
 }
+
+// TestBatchEndpoint follows GET /batch as the armed state changes: a
+// fresh session runs its region batched, a stopping catchpoint demotes
+// it with its reason, deleting it promotes it back, and the response
+// has no hold field.
+func TestBatchEndpoint(t *testing.T) {
+	ts := newWebServer(t)
+	id := newSession(t, ts.URL)
+	check := func(after string, batched bool, reason string) {
+		t.Helper()
+		code, b := httpDo(t, "GET", ts.URL+"/api/sessions/"+id+"/batch", "")
+		if code != http.StatusOK {
+			t.Fatalf("after %q: status %d: %s", after, code, b)
+		}
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(b, &raw); err != nil {
+			t.Fatalf("after %q: bad body %s (%v)", after, b, err)
+		}
+		if _, ok := raw["hold"]; ok || len(raw) != 1 {
+			t.Fatalf("after %q: want only a regions field, got %s", after, b)
+		}
+		var out struct {
+			Regions []struct {
+				Region  int      `json:"region"`
+				Actors  []string `json:"actors"`
+				Batched bool     `json:"batched"`
+				Reason  string   `json:"reason"`
+			} `json:"regions"`
+		}
+		if err := json.Unmarshal(b, &out); err != nil || len(out.Regions) == 0 {
+			t.Fatalf("after %q: no regions in %s (%v)", after, b, err)
+		}
+		for _, r := range out.Regions {
+			if r.Batched != batched || r.Reason != reason || len(r.Actors) == 0 {
+				t.Fatalf("after %q: region %+v, want batched=%v reason=%q",
+					after, r, batched, reason)
+			}
+		}
+	}
+	check("open", true, "")
+	execLine(t, ts.URL, id, "filter mb catch scheduled")
+	check("filter mb catch scheduled", false, "catchpoint #1 on mb (scheduled)")
+	execLine(t, ts.URL, id, "continue")
+	check("continue", false, "catchpoint #1 on mb (scheduled)")
+	execLine(t, ts.URL, id, "delete catch 1")
+	check("delete catch 1", true, "")
+	execLine(t, ts.URL, id, "watch MbFilter_data_izz_total")
+	check("watch", false, "watchpoint on MbFilter_data_izz_total")
+}
