@@ -22,23 +22,16 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
-	"dfdbg/internal/analysis"
 	"dfdbg/internal/analysis/pedfgraph"
-	"dfdbg/internal/ckpt"
 	"dfdbg/internal/cli"
-	"dfdbg/internal/core"
-	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/fault"
 	"dfdbg/internal/h264"
-	"dfdbg/internal/lowdbg"
-	"dfdbg/internal/mach"
 	"dfdbg/internal/mind"
-	"dfdbg/internal/obs"
 	"dfdbg/internal/pedf"
 	"dfdbg/internal/sim"
 	"dfdbg/internal/web"
+	"dfdbg/internal/world"
 )
 
 func main() {
@@ -151,82 +144,75 @@ func armFaults(k *sim.Kernel, rt *pedf.Runtime, fo faultOpts, out io.Writer) err
 	return nil
 }
 
-// soloStack is one fully-built debugger world of the REPL. It is the
-// ckpt.Target the checkpoint manager rebuilds during restore and
-// reverse execution, so everything here must come out identical when
-// built twice from the same flags.
-type soloStack struct {
-	k    *sim.Kernel
-	orec *obs.Recorder
-	m    *mach.Machine
-	rt   *pedf.Runtime
-	d    *core.Debugger
-	c    *cli.CLI
+// preInit returns the world's pre-init step: the flag-armed fault plan
+// and watchdog, and the static pre-flight whose warnings surface before
+// the first dispatch (the run proceeds regardless; `dfdbg analyze` is
+// the gating form). Both go in before the init phase, so dispatch- and
+// DMA-indexed faults count its dispatches and transfers. out receives
+// the plan banner and the warnings; checkpoint rebuilds pass io.Discard.
+func preInit(fo faultOpts, out io.Writer) func(*sim.Kernel, *pedf.Runtime) error {
+	return func(k *sim.Kernel, rt *pedf.Runtime) error {
+		if err := armFaults(k, rt, fo, out); err != nil {
+			return err
+		}
+		pedfgraph.InstallPreRun(k, rt, "h264", out)
+		return nil
+	}
 }
 
-func (st *soloStack) ReplayExec(line string) { st.c.Dispatch(line) }
-func (st *soloStack) CaptureState() ([]byte, error) {
-	return ckpt.CaptureStack(st.k, st.m, st.rt, st.orec)
-}
-func (st *soloStack) Shutdown() { _ = st.k.Shutdown() }
-
-// full is the analysis hook of this stack's world.
-func (st *soloStack) full() (*analysis.Report, error) {
-	rep, _, err := pedfgraph.Analyze(st.rt, "h264")
-	return rep, err
+// session is the REPL's debug world under checkpoint control, shared
+// with the web UI through a solo host. The host's mutex is the dispatch
+// guard, so browser queries serialize against commands and a restore
+// rebinds the host before anything else runs.
+type session struct {
+	b    *world.Binding
+	host *web.SoloHost
 }
 
-// buildSolo boots one REPL world: kernel, machine, PEDF runtime, the
-// H.264 case study with the requested bug, flag-armed faults, batched
-// execution, and a CLI over it all. out receives the boot-time banner
-// and pre-flight warnings; checkpoint rebuilds pass io.Discard.
-func buildSolo(p h264.Params, bug h264.Bug, fo faultOpts, out io.Writer) (*soloStack, error) {
-	k := sim.NewKernel()
-	orec := obs.NewRecorder(4096)
-	// The `trace` queries read token traffic, with payloads, from the ring.
-	orec.EnableKinds(obs.MaskDataflow)
-	orec.SetPayloads(true)
-	k.SetObserver(orec)
-	low := lowdbg.New(k, dbginfo.NewTable())
-	d := core.Attach(low)
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	bits, err := h264.Encode(h264.GenerateFrame(p), p)
+// open boots the REPL's world; restore and reverse execution rebuild it
+// from the same flags (DESIGN §13).
+func open(p h264.Params, bug h264.Bug, fo faultOpts, out io.Writer) (*session, error) {
+	w, err := world.Build(p, bug, preInit(fo, out))
 	if err != nil {
 		return nil, err
 	}
-	if _, err := h264.BuildVariant(rt, p, bits, bug); err != nil {
-		return nil, err
+	s := &session{
+		b: world.Bind(w, func() (*world.World, error) {
+			return world.Build(p, bug, preInit(fo, io.Discard))
+		}),
+		host: web.NewSoloHost("dfdbg", w.Rec, w.K, w.RT, w.Report),
 	}
-	if err := rt.Start(); err != nil {
-		return nil, err
+	s.rebind(w)
+	s.host.SetExec(func(line string) (web.ExecResult, error) {
+		res := s.dispatch(line)
+		er := web.ExecResult{Output: res.Output, Quit: res.Quit}
+		if res.Err != nil {
+			er.Err = res.Err.Error()
+		}
+		return er, nil
+	})
+	return s, nil
+}
+
+// rebind points the web host and the `web` command at w.
+func (s *session) rebind(w *world.World) {
+	w.CLI.StartWeb = func(addr string) (string, error) {
+		url, _, err := s.host.Serve(addr)
+		return url, err
 	}
-	if err := armFaults(k, rt, fo, out); err != nil {
-		return nil, err
-	}
-	// Static pre-flight: warnings surface before the first dispatch (the
-	// run proceeds regardless; `dfdbg analyze` is the gating form).
-	pedfgraph.InstallPreRun(k, rt, "h264", out)
-	// Let the framework initialization run so the graph is reconstructed
-	// before the first prompt (the paper's init-phase interception).
-	if _, err := k.RunUntil(0); err != nil {
-		return nil, err
-	}
-	c := cli.New(d, out)
-	c.Obs = orec
-	c.Targets = rt.FaultTargets()
-	c.Full = func() (*analysis.Report, *analysis.Graph, error) {
-		return pedfgraph.Analyze(rt, "h264")
-	}
-	// Arm the batched execution engine: regions the analyzer proves SDF
-	// run schedule-driven while nothing armed can stop the world, and
-	// demote to the per-token path the moment something can. `batch`
-	// shows the live per-region mode.
-	if _, err := pedfgraph.EnableBatch(rt, "h264"); err != nil {
-		return nil, err
-	}
-	c.Batch = rt.RegionModes
-	return &soloStack{k: k, orec: orec, m: m, rt: rt, d: d, c: c}, nil
+	s.host.Rebind(w.Rec, w.K, w.RT, w.Report)
+}
+
+// dispatch runs one command line under the host lock, journals it, and
+// adopts the world a restore-class command staged. All mutation — REPL
+// and web exec alike — funnels through here, so the swap is race-free
+// by construction.
+func (s *session) dispatch(line string) cli.Result {
+	s.host.Lock()
+	defer s.host.Unlock()
+	res := s.b.Exec(line)
+	s.b.Adopt(s.rebind)
+	return res
 }
 
 func run(p h264.Params, bugName string, fo faultOpts, in io.Reader, out io.Writer) error {
@@ -234,123 +220,21 @@ func run(p h264.Params, bugName string, fo faultOpts, in io.Reader, out io.Write
 	if err != nil {
 		return err
 	}
-	cur, err := buildSolo(p, bug, fo, out)
+	s, err := open(p, bug, fo, out)
 	if err != nil {
 		return err
 	}
+	defer func() { s.b.Cur.Shutdown() }()
+	d := s.b.Cur.D
 	fmt.Fprintf(out, "dfdbg: dataflow debugger on the H.264 case study "+
 		"(%dx%d, %d macroblocks, bug=%s)\n", p.W, p.H, p.NumBlocks(), bug)
 	fmt.Fprintf(out, "%d actors and %d links reconstructed; type `help` for commands\n",
-		len(cur.d.Actors()), len(cur.d.Links()))
-
-	// The checkpoint manager journals state-mutating command lines and
-	// rebuilds the whole world (with replay verification) on restore and
-	// reverse execution (DESIGN §13).
-	mgr := ckpt.NewManager(func() (ckpt.Target, error) {
-		st, err := buildSolo(p, bug, fo, io.Discard)
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
-	})
-	var swap *soloStack // staged by a restore-class hook, adopted post-dispatch
-
-	// The web UI shares the stack through a solo host; its mutex is the
-	// dispatch guard, so browser queries serialize against commands and
-	// a restore rebinds the host before anything else runs.
-	host := web.NewSoloHost("dfdbg", cur.orec, cur.k, cur.rt, cur.full)
-
-	// wire installs the checkpoint commands on a (re)built world's CLI.
-	var wire func(st *soloStack)
-	wire = func(st *soloStack) {
-		st.c.StartWeb = func(addr string) (string, error) {
-			url, _, err := host.Serve(addr)
-			return url, err
-		}
-		st.c.Ckpt = &cli.CkptHooks{
-			Save: func(label string) (ckpt.Info, error) {
-				cp, err := mgr.Capture(st, label, uint64(st.k.Now()), time.Now().UnixNano())
-				if err != nil {
-					return ckpt.Info{}, err
-				}
-				return cp.Info(), nil
-			},
-			List: mgr.List,
-			Restore: func(id int) (ckpt.Info, error) {
-				cp := mgr.Latest()
-				if id != 0 {
-					cp = mgr.Find(id)
-				}
-				if cp == nil {
-					return ckpt.Info{}, fmt.Errorf("no such checkpoint (see `checkpoints')")
-				}
-				t, err := mgr.Restore(cp)
-				if err != nil {
-					return ckpt.Info{}, err
-				}
-				swap = t.(*soloStack)
-				return cp.Info(), nil
-			},
-			ReverseStep: func() error {
-				t, err := mgr.ReverseStep()
-				if err != nil {
-					return err
-				}
-				swap = t.(*soloStack)
-				return nil
-			},
-			ReverseContinue: func() (ckpt.Info, error) {
-				cp := mgr.Latest()
-				if cp == nil {
-					return ckpt.Info{}, fmt.Errorf("no checkpoint to reverse-continue to")
-				}
-				t, err := mgr.Restore(cp)
-				if err != nil {
-					return ckpt.Info{}, err
-				}
-				swap = t.(*soloStack)
-				return cp.Info(), nil
-			},
-		}
-	}
-	wire(cur)
-
-	// dispatch runs one command line under the host lock, journals it on
-	// success, and adopts the rebuilt stack a restore-class command
-	// staged. All mutation — REPL and web exec alike — funnels through
-	// here, so the swap is race-free by construction.
-	dispatch := func(line string) cli.Result {
-		host.Lock()
-		defer host.Unlock()
-		res := cur.c.Dispatch(line)
-		if res.Err == nil && ckpt.Journaled(line) {
-			mgr.Note(line)
-		}
-		if ns := swap; ns != nil {
-			swap = nil
-			old := cur
-			cur = ns
-			wire(ns)
-			host.Rebind(ns.orec, ns.k, ns.rt, ns.full)
-			if old != ns {
-				old.Shutdown()
-			}
-		}
-		return res
-	}
-	host.SetExec(func(line string) (web.ExecResult, error) {
-		res := dispatch(line)
-		er := web.ExecResult{Output: res.Output, Quit: res.Quit}
-		if res.Err != nil {
-			er.Err = res.Err.Error()
-		}
-		return er, nil
-	})
+		len(d.Actors()), len(d.Links()))
 
 	// The birth checkpoint: reverse execution and `restore` always have
 	// a floor to return to. Best effort — a world whose state cannot be
 	// captured still debugs, it just cannot rewind.
-	if _, err := mgr.Capture(cur, "boot", uint64(cur.k.Now()), time.Now().UnixNano()); err != nil {
+	if _, err := s.b.Save("boot"); err != nil {
 		fmt.Fprintf(out, "checkpointing disabled: %v\n", err)
 	}
 
@@ -361,7 +245,7 @@ func run(p h264.Params, bugName string, fo faultOpts, in io.Reader, out io.Write
 			fmt.Fprintf(out, "\n")
 			return nil
 		}
-		res := dispatch(sc.Text())
+		res := s.dispatch(sc.Text())
 		io.WriteString(out, res.Output)
 		if res.Err != nil {
 			fmt.Fprintf(out, "error: %v\n", res.Err)

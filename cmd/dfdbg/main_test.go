@@ -2,11 +2,13 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"testing"
 
 	"dfdbg/internal/h264"
+	"dfdbg/internal/obs"
 )
 
 func TestScriptedSession(t *testing.T) {
@@ -140,5 +142,78 @@ func TestParseBug(t *testing.T) {
 	var out strings.Builder
 	if err := run(h264.Params{W: 16, H: 16, QP: 8}, "bogus", faultOpts{}, strings.NewReader(""), &out); err == nil {
 		t.Error("run with bogus bug accepted")
+	}
+}
+
+// TestFaultSeedSurvivesRestore arms a seeded fault plan from the flags.
+// Its first fault is DMA-indexed and fires during the init phase, so it
+// must be armed before that phase, both at boot and in every world a
+// restore rebuilds.
+func TestFaultSeedSurvivesRestore(t *testing.T) {
+	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
+	script := "fault trace\ncheckpoint a\ncontinue\nrestore 2\nfault trace\nquit\n"
+	var out strings.Builder
+	if err := run(p, "none", faultOpts{seed: 22}, strings.NewReader(script), &out); err != nil {
+		t.Fatal(err)
+	}
+	prompts := strings.Split(out.String(), "(gdb) ")
+	if len(prompts) < 6 {
+		t.Fatalf("session ended early:\n%s", out.String())
+	}
+	const fired = "t=0ns delay dma @ 0 ns 396"
+	if !strings.Contains(prompts[1], fired) {
+		t.Errorf("fault trace at the first prompt = %q, want %q", prompts[1], fired)
+	}
+	if !strings.Contains(prompts[4], "Restored (replay-verified)") {
+		t.Errorf("restore 2 = %q, want a replay-verified restore", prompts[4])
+	}
+	if !strings.Contains(prompts[5], fired) {
+		t.Errorf("fault trace in the restored world = %q, want %q", prompts[5], fired)
+	}
+}
+
+// TestREPLCheckpointMarks checks that the REPL records each checkpoint
+// event exactly once: a save adds one KCheckpoint to the live world,
+// and each restore-class command leaves one KRestore in the world it
+// swaps in.
+func TestREPLCheckpointMarks(t *testing.T) {
+	p := h264.Params{W: 16, H: 16, QP: 8, Seed: 7}
+	s, err := open(p, h264.BugNone, faultOpts{}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.b.Cur.Shutdown() }()
+	if _, err := s.b.Save("boot"); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		line            string
+		ckpts, restores int
+	}{
+		{"filter pipe catch work", 1, 0},
+		{"checkpoint a", 2, 0},
+		{"continue", 2, 0},
+		{"continue", 2, 0},
+		{"reverse-step", 0, 1},
+		{"reverse-continue", 0, 1},
+		{"checkpoint b", 1, 1},
+		{"restore 1", 0, 1},
+	} {
+		if res := s.dispatch(step.line); res.Err != nil {
+			t.Fatalf("%q: %v", step.line, res.Err)
+		}
+		var ckpts, restores int
+		for _, ev := range s.b.Cur.Rec.Snapshot() {
+			switch ev.Kind {
+			case obs.KCheckpoint:
+				ckpts++
+			case obs.KRestore:
+				restores++
+			}
+		}
+		if ckpts != step.ckpts || restores != step.restores {
+			t.Errorf("after %q: %d checkpoint / %d restore marks, want %d / %d",
+				step.line, ckpts, restores, step.ckpts, step.restores)
+		}
 	}
 }

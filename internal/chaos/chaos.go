@@ -32,7 +32,8 @@ type Options struct {
 	// faults. Because every chaos run arms a fault plan, the engine must
 	// demote every region to the per-token path (DESIGN §12), so a
 	// batched chaos run is required to produce the exact same Result as
-	// a non-batched one — the gauntlet asserts that.
+	// a non-batched one — the gauntlet asserts that. Checkpoint runs
+	// ignore it: the served world always arms its batch plans.
 	Batch bool
 
 	// Checkpoint runs the crash-safety gauntlet instead (DESIGN §13):
@@ -90,6 +91,8 @@ func Run(seed int64, o Options) (*Result, error) {
 	}
 
 	k := sim.NewKernel()
+	// Shutdown fails only mid-run, while an escaped panic unwinds.
+	defer func() { _ = k.Shutdown() }()
 	low := lowdbg.New(k, dbginfo.NewTable())
 	d := core.Attach(low)
 	m := mach.New(k, mach.Config{})

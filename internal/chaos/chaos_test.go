@@ -1,8 +1,10 @@
 package chaos
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestChaos is the acceptance gate of the fault layer: 100+ seeded
@@ -157,5 +159,24 @@ func TestChaosCheckpointSmoke(t *testing.T) {
 		if res.Restores != 1 {
 			t.Errorf("seed %d: %d restores, want exactly 1", seed, res.Restores)
 		}
+	}
+}
+
+// TestChaosRunReleasesKernel pins that every chaos run unwinds its
+// kernel: twenty seeds later the process is back to the goroutines it
+// started with.
+func TestChaosRunReleasesKernel(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for seed := int64(1); seed <= 20; seed++ {
+		if _, err := Run(seed, Options{}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after 20 seeds, want <= %d: a run leaked its kernel", n, base)
 	}
 }

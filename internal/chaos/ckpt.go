@@ -11,121 +11,52 @@ package chaos
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 
-	"dfdbg/internal/analysis/pedfgraph"
 	"dfdbg/internal/ckpt"
-	"dfdbg/internal/cli"
-	"dfdbg/internal/core"
-	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/fault"
 	"dfdbg/internal/h264"
-	"dfdbg/internal/lowdbg"
-	"dfdbg/internal/mach"
-	"dfdbg/internal/obs"
-	"dfdbg/internal/pedf"
-	"dfdbg/internal/sim"
+	"dfdbg/internal/world"
 )
 
-// ckptStack is the chaos harness's ckpt.Target: a full debugger stack
-// with a CLI on top, so the checkpoint journal replays command lines.
-type ckptStack struct {
-	k   *sim.Kernel
-	m   *mach.Machine
-	rt  *pedf.Runtime
-	rec *obs.Recorder
-	c   *cli.CLI
-}
-
-func (s *ckptStack) ReplayExec(line string) { s.c.Dispatch(line) }
-func (s *ckptStack) CaptureState() ([]byte, error) {
-	return ckpt.CaptureStack(s.k, s.m, s.rt, s.rec)
-}
-func (s *ckptStack) Shutdown() { _ = s.k.Shutdown() }
-
-// buildCkptStack boots the chaos recipe — no fault plan or watchdog
-// yet; those arrive as journaled commands so replay re-creates them.
-func buildCkptStack(o Options) (*ckptStack, error) {
-	k := sim.NewKernel()
-	rec := obs.NewRecorder(1 << 14)
-	k.SetObserver(rec)
-	low := lowdbg.New(k, dbginfo.NewTable())
-	d := core.Attach(low)
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	p := h264.Params{W: o.W, H: o.H, QP: 8, Seed: 7}
-	bits, err := h264.Encode(h264.GenerateFrame(p), p)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := h264.Build(rt, p, bits, false); err != nil {
-		return nil, err
-	}
-	if err := rt.Start(); err != nil {
-		return nil, err
-	}
-	if o.Batch {
-		if _, err := pedfgraph.EnableBatch(rt, "h264"); err != nil {
-			return nil, err
-		}
-	}
-	c := cli.New(d, io.Discard)
-	c.Obs = rec
-	c.Targets = rt.FaultTargets()
-	return &ckptStack{k: k, m: m, rt: rt, rec: rec, c: c}, nil
-}
-
-// step executes one command line and journals it on success
-// (journal-after-success, same policy as the serve supervisor).
-func step(mgr *ckpt.Manager, st *ckptStack, line string) cli.Result {
-	res := st.c.Dispatch(line)
-	if res.Err == nil && ckpt.Journaled(line) {
-		mgr.Note(line)
-	}
-	return res
-}
-
-// runJournaled drives one CLI-journaled gauntlet. killAt > 0 tears the
-// whole stack down at the start of that round and restores from the
-// last checkpoint (rebuild + replay + byte-verification); 0 runs
-// uninterrupted. Returns the verdict, the final state blob, and how
-// many restores happened.
+// runJournaled drives one CLI-journaled gauntlet over the served world
+// (world.Build: payload recording, the init phase, batch plans that the
+// armed plan demotes). killAt > 0 tears the whole world down at the
+// start of that round and restores from the last checkpoint (rebuild +
+// replay + byte-verification); 0 runs uninterrupted. Returns the
+// verdict, the final state blob, and how many restores happened.
 func runJournaled(seed int64, o Options, killAt int) (*Result, []byte, error) {
-	mgr := ckpt.NewManager(func() (ckpt.Target, error) {
-		st, err := buildCkptStack(o)
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
-	})
-	mgr.Limit = 4
-	t, err := mgr.Build()
+	p := h264.Params{W: o.W, H: o.H, QP: 8, Seed: 7}
+	build := func() (*world.World, error) { return world.Build(p, h264.BugNone, nil) }
+	w, err := build()
 	if err != nil {
 		return nil, nil, err
 	}
-	st := t.(*ckptStack)
-	defer func() { st.Shutdown() }()
+	b := world.Bind(w, build)
+	b.Mgr.Limit = 4
+	defer func() { b.Cur.Shutdown() }()
 
 	res := &Result{Seed: seed, FinalStatus: "gave-up"}
-	res.Plan = fault.Generate(seed, st.rt.FaultTargets())
-	if r := step(mgr, st, fmt.Sprintf("watchdog %d", uint64(o.Watchdog))); r.Err != nil {
+	res.Plan = fault.Generate(seed, w.RT.FaultTargets())
+	// The watchdog and the plan arrive as journaled commands so replay
+	// re-creates them.
+	if r := b.Exec(fmt.Sprintf("watchdog %d", uint64(o.Watchdog))); r.Err != nil {
 		return res, nil, r.Err
 	}
-	if r := step(mgr, st, fmt.Sprintf("fault gen %d", seed)); r.Err != nil {
+	if r := b.Exec(fmt.Sprintf("fault gen %d", seed)); r.Err != nil {
 		return res, nil, r.Err
 	}
-	if _, err := mgr.Capture(st, "boot", uint64(st.k.Now()), 0); err != nil {
+	if _, err := b.Save("boot"); err != nil {
 		return res, nil, err
 	}
 
 	finish := func(status string) (*Result, []byte, error) {
 		res.FinalStatus = status
-		if inj := st.k.Faults(); inj != nil {
+		if inj := b.Cur.K.Faults(); inj != nil {
 			res.Trace = inj.TraceStrings()
 		}
-		state, err := st.CaptureState()
+		state, err := b.Cur.CaptureState()
 		return res, state, err
 	}
 
@@ -133,15 +64,14 @@ func runJournaled(seed int64, o Options, killAt int) (*Result, []byte, error) {
 	// gets headroom for the replayed tail.
 	for res.Rounds = 1; res.Rounds <= o.Rounds+ckptEveryRounds; res.Rounds++ {
 		if res.Rounds == killAt {
-			st.Shutdown()
-			nt, err := mgr.Restore(mgr.Latest())
-			if err != nil {
+			b.Cur.Shutdown()
+			if _, err := b.Restore(b.Mgr.Latest()); err != nil {
 				return res, nil, fmt.Errorf("restore after kill at round %d: %w", killAt, err)
 			}
-			st = nt.(*ckptStack)
+			b.Adopt(nil)
 			res.Restores++
 		}
-		r := step(mgr, st, "continue")
+		r := b.Exec("continue")
 		if r.Err != nil {
 			return res, nil, fmt.Errorf("round %d: %v", res.Rounds, r.Err)
 		}
@@ -153,13 +83,13 @@ func runJournaled(seed int64, o Options, killAt int) (*Result, []byte, error) {
 			return finish("crashed-contained")
 		case r.Stop.Stalled || r.Stop.Deadlock:
 			res.Stalls++
-			if u := step(mgr, st, "unstick apply"); u.Err != nil {
+			if u := b.Exec("unstick apply"); u.Err != nil {
 				return res, nil, fmt.Errorf("round %d: unstick: %v", res.Rounds, u.Err)
 			}
 			res.Unsticks++
 		}
 		if res.Rounds%ckptEveryRounds == 0 {
-			if _, err := mgr.Capture(st, "auto", uint64(st.k.Now()), 0); err != nil {
+			if _, err := b.Save("auto"); err != nil {
 				return res, nil, err
 			}
 		}

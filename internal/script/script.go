@@ -102,6 +102,10 @@ func newSession(p h264.Params, bug h264.Bug, linkCap int) (*session, error) {
 	return &session{k: k, low: low, d: d, app: app}, nil
 }
 
+// close unwinds the session's kernel goroutines. Kernel.Shutdown fails
+// only while the kernel runs, and no session op returns mid-run.
+func (s *session) close() { _ = s.k.Shutdown() }
+
 // Run executes one localization session.
 func Run(p h264.Params, bug h264.Bug, strat Strategy) (*Result, error) {
 	linkCap := 0
@@ -112,6 +116,7 @@ func Run(p h264.Params, bug h264.Bug, strat Strategy) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.close()
 	var res *Result
 	switch {
 	case bug == h264.BugSwapMBInputs && strat == Dataflow:
@@ -351,6 +356,7 @@ func firstBadBlock(p h264.Params, bug h264.Bug) (int, error) {
 	if err != nil {
 		return -1, err
 	}
+	defer s.close()
 	s.low.Continue()
 	got, err := s.app.OutputFrame()
 	if err != nil {

@@ -1,8 +1,10 @@
 package script
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dfdbg/internal/h264"
 )
@@ -127,5 +129,22 @@ func TestRunAll(t *testing.T) {
 func TestUnknownCombination(t *testing.T) {
 	if _, err := Run(testParams, h264.BugNone, Dataflow); err == nil {
 		t.Error("BugNone session accepted")
+	}
+}
+
+// TestRunReleasesKernel pins that every localization session unwinds
+// its debugger world: after all six sessions the process is back to the
+// goroutines it started with.
+func TestRunReleasesKernel(t *testing.T) {
+	base := runtime.NumGoroutine()
+	if _, err := RunAll(h264.Params{W: 16, H: 16, QP: 8, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the sessions, want <= %d: a session leaked its kernel", n, base)
 	}
 }

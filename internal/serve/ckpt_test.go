@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"dfdbg/internal/ckpt"
+	"dfdbg/internal/obs"
+	"dfdbg/internal/world"
 )
 
 func waitFor(t *testing.T, ch chan Event, kind string) Event {
@@ -38,8 +40,8 @@ func mustExec(t *testing.T, s *Session, line string) {
 // goroutine.
 func finalState(t *testing.T, s *Session) []byte {
 	t.Helper()
-	out, err := s.do(func(st *stack) any {
-		b, err := st.CaptureState()
+	out, err := s.do(func(w *world.World) any {
+		b, err := w.CaptureState()
 		if err != nil {
 			t.Errorf("capture: %v", err)
 			return []byte(nil)
@@ -50,6 +52,86 @@ func finalState(t *testing.T, s *Session) []byte {
 		t.Fatalf("do: %v", err)
 	}
 	return out.([]byte)
+}
+
+// marks counts the checkpoint-lifecycle events in the session's live
+// world, on its goroutine.
+func marks(t *testing.T, s *Session) [2]int {
+	t.Helper()
+	out, err := s.do(func(w *world.World) any {
+		var n [2]int
+		for _, ev := range w.Rec.Snapshot() {
+			switch ev.Kind {
+			case obs.KCheckpoint:
+				n[0]++
+			case obs.KRestore:
+				n[1]++
+			}
+		}
+		return n
+	})
+	if err != nil {
+		t.Fatalf("do: %v", err)
+	}
+	return out.([2]int)
+}
+
+// TestSessionCheckpointMarks checks that a session records each
+// checkpoint event exactly once: a save adds one KCheckpoint to the live
+// world, and a restore, reverse-step, reverse-continue, crash recovery
+// or import leaves one KRestore in the world it swaps in. Auto
+// checkpoints are off so only the listed commands save.
+func TestSessionCheckpointMarks(t *testing.T) {
+	mgr := NewManager(4, 0)
+	mgr.SetCheckpointPolicy(-1, -1, 0)
+	defer mgr.CloseAll()
+	s, err := mgr.Create(*tinyParams)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if got := marks(t, s); got != [2]int{1, 0} {
+		t.Errorf("boot: checkpoint/restore marks %v, want [1 0]", got)
+	}
+	for _, step := range []struct {
+		line string
+		want [2]int
+	}{
+		{"filter pipe catch work", [2]int{1, 0}},
+		{"checkpoint a", [2]int{2, 0}},
+		{"continue", [2]int{2, 0}},
+		{"reverse-step", [2]int{0, 1}},
+		{"continue", [2]int{0, 1}},
+		{"reverse-continue", [2]int{0, 1}},
+		{"restore 1", [2]int{0, 1}},
+		{"fault add panic filter mb @ 2", [2]int{0, 1}},
+		{"checkpoint armed", [2]int{1, 1}},
+		// The induced panic crashes the world; recovery restores "armed".
+		{"continue", [2]int{0, 1}},
+	} {
+		if _, err := s.Exec(step.line); err != nil {
+			t.Fatalf("%q: %v", step.line, err)
+		}
+		if got := marks(t, s); got != step.want {
+			t.Errorf("after %q: checkpoint/restore marks %v, want %v", step.line, got, step.want)
+		}
+	}
+	if got := mgr.sessionsRecovered.Value(); got != 1 {
+		t.Errorf("sessions_recovered_total = %d, want 1", got)
+	}
+
+	params, container, err := s.Export()
+	if err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	dst := NewManager(4, 0)
+	defer dst.CloseAll()
+	imp, err := dst.Import(s.ID, params, container)
+	if err != nil {
+		t.Fatalf("import: %v", err)
+	}
+	if got := marks(t, imp); got != [2]int{0, 1} {
+		t.Errorf("import: checkpoint/restore marks %v, want [0 1]", got)
+	}
 }
 
 // TestCrashRecoveryByteIdentical is the acceptance path: a session

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"dfdbg/internal/world"
 )
 
 // TestLifecycleTransitions enumerates every (phase, event) pair of the
@@ -14,7 +16,7 @@ import (
 // subscriber that joined during boot receives.
 func TestLifecycleTransitions(t *testing.T) {
 	panicCmd := func(t *testing.T, _ *Manager, s *Session) {
-		if _, err := s.doCmd("explode", func(*stack) any { panic("boom") }); err == nil {
+		if _, err := s.doCmd("explode", func(*world.World) any { panic("boom") }); err == nil {
 			t.Error("panicking command: want an error")
 		}
 	}
@@ -46,7 +48,7 @@ func TestLifecycleTransitions(t *testing.T) {
 			}
 		}, phase: closed, reason: "migrated", closed: []string{"migrated"}},
 		{name: "export error", event: func(t *testing.T, _ *Manager, s *Session) {
-			out, err := s.do(func(*stack) any { return exportReply{err: errors.New("capture failed")} })
+			out, err := s.do(func(*world.World) any { return exportReply{err: errors.New("capture failed")} })
 			if err != nil || out.(exportReply).err == nil {
 				t.Errorf("failed export: %v, %v", out, err)
 			}
@@ -103,7 +105,7 @@ func TestLifecycleTransitions(t *testing.T) {
 			if tc.event != nil {
 				// Create returns before the birth checkpoint; let the
 				// session settle into serving first.
-				if _, err := s.do(func(*stack) any { return nil }); err != nil {
+				if _, err := s.do(func(*world.World) any { return nil }); err != nil {
 					t.Fatalf("settle: %v", err)
 				}
 				tc.event(t, mgr, s)
@@ -114,7 +116,7 @@ func TestLifecycleTransitions(t *testing.T) {
 				case <-time.After(30 * time.Second):
 					t.Fatal("session goroutine never exited")
 				}
-			} else if _, err := s.do(func(*stack) any { return nil }); err != nil {
+			} else if _, err := s.do(func(*world.World) any { return nil }); err != nil {
 				// A barrier: the event's after-reply effects have settled.
 				t.Fatalf("barrier: %v", err)
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dfdbg/internal/ckpt"
+	"dfdbg/internal/world"
 )
 
 // migScript is a deterministic command sequence split across the
@@ -223,7 +224,7 @@ func queueHold(s *Session, silent bool) *pendingHold {
 		release: func() { once.Do(func() { close(gate) }) },
 		done:    make(chan error, 1),
 	}
-	park := func(*stack) any {
+	park := func(*world.World) any {
 		close(h.entered)
 		<-gate
 		return nil
@@ -235,7 +236,7 @@ func queueHold(s *Session, silent bool) *pendingHold {
 			return
 		}
 		// The loop treats a yielding reap verdict as no use at all.
-		run := func(st *stack) any { park(st); return reapVerdict{} }
+		run := func(w *world.World) any { park(w); return reapVerdict{} }
 		cmd := sessionCmd{run: run, reply: make(chan any, 1), probe: true}
 		s.cmds <- cmd
 		<-cmd.reply
@@ -338,7 +339,7 @@ func TestReapDecidesOnSessionGoroutine(t *testing.T) {
 	// journal it retired with: a reap between a command's reply and its
 	// journal write would lose lines.
 	s.Close("test-done")
-	if got := s.sup.mgr.JournalLen(); got < acked {
+	if got := s.sup.b.Mgr.JournalLen(); got < acked {
 		t.Errorf("journal holds %d entries, want >= %d (acknowledged commands lost)", got, acked)
 	}
 }

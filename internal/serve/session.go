@@ -3,26 +3,19 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dfdbg/internal/analysis"
 	"dfdbg/internal/analysis/pedfgraph"
 	"dfdbg/internal/ckpt"
 	"dfdbg/internal/cli"
-	"dfdbg/internal/core"
-	"dfdbg/internal/dbginfo"
 	"dfdbg/internal/filterc"
-	"dfdbg/internal/h264"
-	"dfdbg/internal/lowdbg"
-	"dfdbg/internal/mach"
 	"dfdbg/internal/obs"
-	"dfdbg/internal/pedf"
 	"dfdbg/internal/sim"
 	"dfdbg/internal/web"
+	"dfdbg/internal/world"
 )
 
 // Errors returned by the session layer and rendered onto the wire.
@@ -169,7 +162,7 @@ func (m *Manager) CreateWithID(id string, params SessionParams) (*Session, error
 }
 
 // Import revives a migrated session from its DFCK container under its
-// original id: the stack is rebuilt from params, the container's
+// original id: the world is rebuilt from params, the container's
 // journal is replayed, and the replayed state is byte-compared against
 // the container's state blob (a restore that cannot prove equivalence
 // fails with a DivergenceError instead of resuming a different world).
@@ -339,26 +332,17 @@ func (m *Manager) remove(s *Session) {
 }
 
 // sessionCmd is one unit of work executed on the session goroutine. The
-// closure receives the session's stack, so every kernel access happens
-// on the goroutine that owns it. line carries the debugger command line
-// for exec commands ("" for internal queries) — the supervisor journals
-// it on success and re-executes it after crash recovery. probe marks
-// the idle reaper's probe, which is not a client command.
+// closure receives the session's live world, so every kernel access
+// happens on the goroutine that owns it. line carries the debugger
+// command line for exec commands ("" for internal queries) — the
+// binding journals it on success and the supervisor re-executes it
+// after crash recovery. probe marks the idle reaper's probe, which is
+// not a client command.
 type sessionCmd struct {
 	line  string
-	run   func(*stack) any
+	run   func(*world.World) any
 	reply chan any
 	probe bool
-}
-
-// stack is one session's full debug stack, built and used only on the
-// session goroutine.
-type stack struct {
-	cli *cli.CLI
-	k   *sim.Kernel
-	m   *mach.Machine
-	rec *obs.Recorder
-	rt  *pedf.Runtime
 }
 
 // Session is one hosted debug session: a kernel, runtime and command
@@ -374,9 +358,9 @@ type Session struct {
 	done chan struct{} // closed by loop on exit
 
 	// bootCP is the migrated-in container an imported session restores
-	// from instead of a fresh buildStack; cleared once adopted. sup is
-	// the session's supervisor — set by loop before the first command
-	// and only ever touched on the session goroutine.
+	// from instead of booting fresh. sup is the session's supervisor —
+	// set by loop before the first command and only ever touched on the
+	// session goroutine.
 	bootCP *ckpt.Checkpoint
 	sup    *supervisor
 
@@ -396,61 +380,13 @@ type Session struct {
 
 	// kPtr/recPtr expose the session's kernel and recorder to the web
 	// layer's lock-free paths (stall snapshots, the live event tap).
-	// They are set by loop once the stack booted and cleared on
+	// They are set by loop once the world booted and cleared on
 	// teardown; everything else still goes through do().
 	kPtr   atomic.Pointer[sim.Kernel]
 	recPtr atomic.Pointer[obs.Recorder]
 
 	webMu sync.Mutex
 	webBC *web.Broadcaster
-}
-
-// buildStack elaborates the decoder and boots the framework
-// initialization phase, mirroring the dfdbg command's setup.
-func buildStack(params SessionParams) (*stack, error) {
-	bug, err := h264.ParseBug(params.Bug)
-	if err != nil {
-		return nil, err
-	}
-	k := sim.NewKernel()
-	orec := obs.NewRecorder(1 << 16)
-	// The `trace` queries read token traffic, with payloads, from the ring.
-	orec.EnableKinds(obs.MaskDataflow)
-	orec.SetPayloads(true)
-	k.SetObserver(orec)
-	low := lowdbg.New(k, dbginfo.NewTable())
-	d := core.Attach(low)
-	m := mach.New(k, mach.Config{})
-	rt := pedf.NewRuntime(k, m, low)
-	p := h264.Params{W: params.W, H: params.H, QP: params.QP, Seed: params.Seed}
-	bits, err := h264.Encode(h264.GenerateFrame(p), p)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := h264.BuildVariant(rt, p, bits, bug); err != nil {
-		return nil, err
-	}
-	if err := rt.Start(); err != nil {
-		return nil, err
-	}
-	if _, err := k.RunUntil(0); err != nil {
-		return nil, err
-	}
-	c := cli.New(d, io.Discard)
-	c.Obs = orec
-	c.Targets = rt.FaultTargets()
-	c.Full = func() (*analysis.Report, *analysis.Graph, error) {
-		return pedfgraph.Analyze(rt, "h264")
-	}
-	// Arm the batched engine: proven-SDF regions run schedule-driven
-	// while nothing armed can stop the world, and demote the moment
-	// something can (DESIGN §12). The `batch` command and the /batch
-	// endpoint show the live mode.
-	if _, err := pedfgraph.EnableBatch(rt, "h264"); err != nil {
-		return nil, err
-	}
-	c.Batch = rt.RegionModes
-	return &stack{cli: c, k: k, m: m, rec: orec, rt: rt}, nil
 }
 
 // phase is a session's place in its lifecycle. It only moves forward:
@@ -475,7 +411,7 @@ func (s *Session) setPhase(p phase) {
 	s.subMu.Unlock()
 }
 
-// loop is the session goroutine: it builds the stack (so the kernel is
+// loop is the session goroutine: it builds the world (so the kernel is
 // born and dies on this goroutine) and serializes every command against
 // it. Kernels never share state across sessions. The cross-session
 // paths are the process-wide, read-only-after-insert tables — filterc's
@@ -483,35 +419,14 @@ func (s *Session) setPhase(p phase) {
 // classification memo — plus the manager's atomic counters.
 func (s *Session) loop(ready chan<- error) {
 	defer close(s.done)
-	sup := newSupervisor(s)
-	s.sup = sup
-	var st *stack
-	var err error
-	if cp := s.bootCP; cp != nil {
-		// Imported session: rebuild + replay + byte-compare against the
-		// migrated-in container (the same DivergenceError discipline as
-		// a restore), and keep the container as the recovery floor.
-		var t ckpt.Target
-		if t, err = sup.mgr.Adopt(cp); err == nil {
-			st = t.(*stack)
-		}
-	} else {
-		st, err = buildStack(s.Params)
-	}
+	s.sup = newSupervisor(s)
+	err := s.sup.open(s.Params, s.bootCP)
 	ready <- err
 	if err != nil {
 		s.setPhase(closed)
 		return
 	}
-	s.kPtr.Store(st.k)
-	s.recPtr.Store(st.rec)
-	if cp := s.bootCP; cp != nil {
-		s.bootCP = nil
-		sup.wire(st)
-		st.rec.Record(obs.Event{At: uint64(st.k.Now()), Kind: obs.KRestore, Arg: int64(cp.ID)})
-	} else {
-		sup.boot(st)
-	}
+	s.rebind(s.sup.b.Cur)
 	s.touch()
 	s.setPhase(serving)
 	var reason string
@@ -523,21 +438,22 @@ func (s *Session) loop(ready chan<- error) {
 			if !cmd.probe {
 				s.waiting.Add(-1)
 			}
-			st, reason, last = s.step(st, cmd)
+			reason, last = s.step(cmd)
 		}
 	}
-	s.retire(st, reason, last)
+	s.retire(reason, last)
 }
 
 // step runs one command on the session goroutine and settles its
-// effects: journal, stop event, checkpoint swap, crash recovery. It
-// returns the live stack and, if the command ends the session, the close
-// reason. A reply that retires the session (a successful export, a reap
-// verdict, quit) comes back unsent as last, for retire to send once the
-// session has left the manager.
-func (s *Session) step(st *stack, cmd sessionCmd) (*stack, string, func()) {
+// effects: journal, stop event, checkpoint swap, crash recovery. If the
+// command ends the session, it returns the close reason. A reply that
+// retires the session (a successful export, a reap verdict, quit) comes
+// back unsent as last, for retire to send once the session has left the
+// manager.
+func (s *Session) step(cmd sessionCmd) (string, func()) {
+	b := s.sup.b
 	s.busy.Store(true)
-	out := runShielded(cmd, st)
+	out := runShielded(cmd, b.Cur)
 	s.busy.Store(false)
 	reply := func() { cmd.reply <- out }
 	var reason string
@@ -545,11 +461,11 @@ func (s *Session) step(st *stack, cmd sessionCmd) (*stack, string, func()) {
 	case reapVerdict:
 		// A probe is not use: it leaves the idle clock alone.
 		if v.reap {
-			return st, "idle-timeout", reply
+			return "idle-timeout", reply
 		}
 		reply()
 		s.sup.maybeAuto()
-		return st, "", nil
+		return "", nil
 	case exportReply:
 		if v.err == nil {
 			// The state left for a peer: this copy dies so at most one
@@ -559,16 +475,14 @@ func (s *Session) step(st *stack, cmd sessionCmd) (*stack, string, func()) {
 	case cli.Result:
 		s.ncmds.Add(1)
 		s.mgr.commandsTotal.Inc()
-		if cmd.line != "" && v.Err == nil && ckpt.Journaled(cmd.line) {
-			s.sup.note(cmd.line)
-		}
+		b.Note(cmd.line, v)
 		if v.Quit {
 			reason = "quit"
 		}
 	}
 	s.touch()
 	if reason != "" {
-		return st, reason, reply
+		return reason, reply
 	}
 	reply()
 
@@ -578,10 +492,9 @@ func (s *Session) step(st *stack, cmd sessionCmd) (*stack, string, func()) {
 		if v.Stop != nil {
 			s.publish(Event{Event: "stop", Session: s.ID, Stop: v.Stop})
 		}
-		if ns := s.sup.adopt(); ns != nil {
+		if b.Adopt(s.rebind) {
 			// A checkpoint command (restore, reverse-step,
-			// reverse-continue) staged a rebuilt stack: swap it in.
-			st = s.swapStack(st, ns)
+			// reverse-continue) staged a rebuilt world: it is live now.
 			s.publish(Event{Event: "restored", Session: s.ID})
 		} else if v.Stop != nil && v.Stop.Crash != nil {
 			// A contained crash (induced `fault panic`) killed the
@@ -589,26 +502,22 @@ func (s *Session) step(st *stack, cmd sessionCmd) (*stack, string, func()) {
 			crash = "crash: " + v.Stop.Crash.Cause
 		}
 	case panicReply:
-		// A genuine Go panic unwound the command closure; the old stack
+		// A genuine Go panic unwound the command closure; the old world
 		// may be wedged.
 		crash = v.err.Error()
 	}
-	if crash != "" {
-		ns := s.sup.recoverFrom(cmd.line, crash)
-		if ns == nil {
-			return st, "crash-loop", nil
-		}
-		st = s.swapStack(st, ns)
+	if crash != "" && !s.sup.recoverFrom(cmd.line, crash) {
+		return "crash-loop", nil
 	}
 	s.sup.maybeAuto()
-	return st, "", nil
+	return "", nil
 }
 
-// swapStack retires old and installs ns as the session's live stack:
-// live web streams are closed (clients reattach against the new world),
-// the lock-free pointers flip, and the old kernel is unwound. Runs on
-// the session goroutine.
-func (s *Session) swapStack(old, ns *stack) *stack {
+// rebind points the session's lock-free surfaces at w, the world about
+// to go live: live web streams are closed (clients reattach against the
+// new world) and the kernel and recorder pointers flip. Runs on the
+// session goroutine, before the old world is torn down.
+func (s *Session) rebind(w *world.World) {
 	// Detach before flipping recPtr: the broadcaster's attach closure
 	// resolves the recorder through recPtr, so this clears the tap on
 	// the old recorder.
@@ -618,13 +527,8 @@ func (s *Session) swapStack(old, ns *stack) *stack {
 		s.webBC = nil
 	}
 	s.webMu.Unlock()
-	s.kPtr.Store(ns.k)
-	s.recPtr.Store(ns.rec)
-	if old != nil && old != ns {
-		_ = old.k.Shutdown()
-	}
-	s.sup.wire(ns)
-	return ns
+	s.kPtr.Store(w.K)
+	s.recPtr.Store(w.Rec)
 }
 
 // retire is the session's one way out of serving, run once on the
@@ -634,7 +538,7 @@ func (s *Session) swapStack(old, ns *stack) *stack {
 // sees it never finds the session listed), closes the web fan-out and
 // the lock-free pointers, unwinds the kernel, publishes session-closed
 // to the subscribers that joined before, and drops them.
-func (s *Session) retire(st *stack, reason string, reply func()) {
+func (s *Session) retire(reason string, reply func()) {
 	s.subMu.Lock()
 	s.phase, s.reason = retiring, reason
 	s.subMu.Unlock()
@@ -649,7 +553,7 @@ func (s *Session) retire(st *stack, reason string, reply func()) {
 	s.webMu.Unlock()
 	s.kPtr.Store(nil)
 	s.recPtr.Store(nil)
-	_ = st.k.Shutdown()
+	s.sup.b.Cur.Shutdown()
 	s.publish(Event{Event: "session-closed", Session: s.ID, Reason: reason})
 	s.subMu.Lock()
 	s.subs, s.phase = nil, closed
@@ -689,8 +593,8 @@ type reapVerdict struct{ reap bool }
 // It runs at a command boundary on the session goroutine, so an
 // in-flight command finishes (and is journaled) before the capture.
 func (s *Session) Export() (SessionParams, []byte, error) {
-	out, err := s.doCmd("", func(st *stack) any {
-		cp, err := s.sup.mgr.Capture(st, "migrate", uint64(st.k.Now()), time.Now().UnixNano())
+	out, err := s.doCmd("", func(w *world.World) any {
+		cp, err := s.sup.b.Mgr.Capture(w, "migrate", uint64(w.K.Now()), time.Now().UnixNano())
 		if err != nil {
 			return exportReply{err: fmt.Errorf("serve: export: %w", err)}
 		}
@@ -708,7 +612,7 @@ func (s *Session) Export() (SessionParams, []byte, error) {
 // none is waiting to run. The probe queues behind a command in flight.
 func (s *Session) tryReap(seen int64) bool {
 	cmd := sessionCmd{
-		run: func(*stack) any {
+		run: func(*world.World) any {
 			return reapVerdict{reap: s.lastUsed.Load() == seen && s.waiting.Load() == 0}
 		},
 		reply: make(chan any, 1),
@@ -746,33 +650,28 @@ func (s *Session) awaitReply(reply chan any) (out any, ok bool) {
 // Exec dispatches one debugger command line on the session goroutine
 // and returns its structured result.
 func (s *Session) Exec(line string) (cli.Result, error) {
-	return call(s, line, func(st *stack) cli.Result { return st.cli.Dispatch(line) })
+	return call(s, line, func(w *world.World) cli.Result { return w.CLI.Dispatch(line) })
 }
 
 // Checkpoints lists the session's retained checkpoints, oldest first.
 func (s *Session) Checkpoints() ([]ckpt.Info, error) {
-	return call(s, "", func(st *stack) []ckpt.Info {
-		if st.cli.Ckpt == nil || st.cli.Ckpt.List == nil {
-			return nil
-		}
-		return st.cli.Ckpt.List()
-	})
+	return call(s, "", func(*world.World) []ckpt.Info { return s.sup.b.Mgr.List() })
 }
 
 // Complete returns command-line completions for a partial line.
 func (s *Session) Complete(partial string) ([]string, error) {
-	return call(s, "", func(st *stack) []string { return st.cli.CompleteLine(partial) })
+	return call(s, "", func(w *world.World) []string { return w.CLI.CompleteLine(partial) })
 }
 
 // Metrics snapshots the session's own observability registry (the
 // per-session kernel/runtime/debugger metrics, not the server's).
 func (s *Session) Metrics() ([]obs.MetricValue, error) {
-	return call(s, "", func(st *stack) []obs.MetricValue { return st.rec.Metrics.Snapshot() })
+	return call(s, "", func(w *world.World) []obs.MetricValue { return w.Rec.Metrics.Snapshot() })
 }
 
 // call is doCmd with a typed result.
-func call[T any](s *Session, line string, fn func(*stack) T) (T, error) {
-	out, err := s.doCmd(line, func(st *stack) any { return fn(st) })
+func call[T any](s *Session, line string, fn func(*world.World) T) (T, error) {
+	out, err := s.doCmd(line, func(w *world.World) any { return fn(w) })
 	if err != nil {
 		var zero T
 		return zero, err
@@ -781,12 +680,12 @@ func call[T any](s *Session, line string, fn func(*stack) T) (T, error) {
 }
 
 // do runs fn on the session goroutine.
-func (s *Session) do(fn func(*stack) any) (any, error) { return s.doCmd("", fn) }
+func (s *Session) do(fn func(*world.World) any) (any, error) { return s.doCmd("", fn) }
 
 // doCmd runs fn on the session goroutine, tagged with the command line
 // it executes (for the supervisor's journal). A panic inside fn comes
 // back as an error, not a dead session.
-func (s *Session) doCmd(line string, fn func(*stack) any) (any, error) {
+func (s *Session) doCmd(line string, fn func(*world.World) any) (any, error) {
 	cmd := sessionCmd{line: line, run: fn, reply: make(chan any, 1)}
 	s.waiting.Add(1)
 	select {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dfdbg/internal/world"
 )
 
 // settle waits for the goroutine count to drop back near base.
@@ -34,7 +36,7 @@ func TestPanicDuringCommandRecovers(t *testing.T) {
 	}
 
 	base := runtime.NumGoroutine()
-	_, err = s.doCmd("explode", func(st *stack) any { panic("boom") })
+	_, err = s.doCmd("explode", func(w *world.World) any { panic("boom") })
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("panicking command returned %v, want a panicked error", err)
 	}
@@ -68,10 +70,10 @@ func TestCrashLoopClosesSession(t *testing.T) {
 	sub := &chanSub{ch: make(chan Event, 64)}
 	s.Subscribe(sub)
 
-	if _, err := s.doCmd("explode", func(st *stack) any { panic("boom 1") }); err == nil {
+	if _, err := s.doCmd("explode", func(w *world.World) any { panic("boom 1") }); err == nil {
 		t.Fatal("first panic: want error")
 	}
-	if _, err := s.doCmd("explode", func(st *stack) any { panic("boom 2") }); err == nil {
+	if _, err := s.doCmd("explode", func(w *world.World) any { panic("boom 2") }); err == nil {
 		t.Fatal("second panic: want error")
 	}
 

@@ -3,10 +3,10 @@ package serve
 import (
 	"net/http"
 
-	"dfdbg/internal/analysis"
 	"dfdbg/internal/obs"
 	"dfdbg/internal/sim"
 	"dfdbg/internal/web"
+	"dfdbg/internal/world"
 )
 
 // The web adapter: dfserve's sessions exposed through internal/web's
@@ -64,20 +64,14 @@ type webHost struct{ s *Session }
 func (h *webHost) ID() string { return h.s.ID }
 
 func (h *webHost) Query(fn func(*web.Snapshot)) error {
-	_, err := h.s.do(func(st *stack) any {
-		snap := &web.Snapshot{
-			Rec:   st.rec,
-			NowNS: uint64(st.k.Now()),
-			RT:    st.rt,
-			Stall: st.k.LastStall(),
-		}
-		if full := st.cli.Full; full != nil {
-			snap.Full = func() (*analysis.Report, error) {
-				rep, _, err := full()
-				return rep, err
-			}
-		}
-		fn(snap)
+	_, err := h.s.do(func(w *world.World) any {
+		fn(&web.Snapshot{
+			Rec:   w.Rec,
+			NowNS: uint64(w.K.Now()),
+			RT:    w.RT,
+			Stall: w.K.LastStall(),
+			Full:  w.Report,
+		})
 		return nil
 	})
 	return err
