@@ -32,6 +32,7 @@ import (
 	"dfdbg/internal/pedf"
 	"dfdbg/internal/script"
 	"dfdbg/internal/sim"
+	"dfdbg/internal/world"
 )
 
 var benchParams = h264.Params{W: 32, H: 32, QP: 8, Seed: 7}
@@ -356,6 +357,57 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 			b.ReportMetric(float64(p.Frames)*float64(b.N)/b.Elapsed().Seconds(), "frames/sec")
 		})
 	}
+}
+
+// BenchmarkDecodeAttached is the attached-over-detached gate: the same
+// 32x32 batched decode run once detached (h264.Build with no debugger
+// and no recorder) and once as every front end runs it (world.Build:
+// core attached, dataflow events recorded with payloads, then
+// `continue` to completion). Only the run is timed, not the boot. CI
+// bounds attached/detached with benchguard -ratio.
+func BenchmarkDecodeAttached(b *testing.B) {
+	p := benchParams
+	bits, err := h264.Encode(h264.GenerateFrame(p), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("detached", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			k := sim.NewKernel()
+			rt := pedf.NewRuntime(k, mach.New(k, mach.Config{}), nil)
+			if _, err := h264.Build(rt, p, bits, false); err != nil {
+				b.Fatal(err)
+			}
+			if err := rt.Start(); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := pedfgraph.EnableBatch(rt, "h264"); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if st, err := k.Run(); err != nil || st != sim.RunIdle {
+				b.Fatalf("run = %v %v", st, err)
+			}
+		}
+	})
+	b.Run("attached", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			w, err := world.Build(p, h264.BugNone, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			res := w.CLI.Dispatch("continue")
+			b.StopTimer()
+			if res.Err != nil || res.Stop == nil || !res.Stop.Done {
+				b.Fatalf("continue = %+v", res)
+			}
+			w.Shutdown()
+			b.StartTimer()
+		}
+	})
 }
 
 // throughputSetup encodes BenchmarkDecodeThroughput's 16x16 sequence and

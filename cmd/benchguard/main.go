@@ -15,6 +15,16 @@
 // catching structural regressions (an accidental O(n^2), a lost cache),
 // not CI-runner noise. A mapped benchmark missing from the input is an
 // error: a guard that silently stops measuring is worse than none.
+//
+// A -ratio flag bounds the ratio of two benchmarks measured in the same
+// run instead, which needs no host-specific baseline:
+//
+//	go test -run xxx -bench BenchmarkDecodeAttached -benchtime 5x -count 3 . | \
+//	  benchguard -ratio 'BenchmarkDecodeAttached/attached/BenchmarkDecodeAttached/detached<=2'
+//
+// The spec is NUM/DEN<=LIMIT; DEN starts at the last "/Benchmark", so
+// both sides may be sub-benchmarks. It fails when median(NUM) over
+// median(DEN) exceeds LIMIT.
 package main
 
 import (
@@ -49,13 +59,39 @@ func (m *mappingList) Set(s string) error {
 	return nil
 }
 
+// ratioCheck bounds median(num)/median(den) by max.
+type ratioCheck struct {
+	num, den string
+	max      float64
+}
+
+type ratioList []ratioCheck
+
+func (r *ratioList) String() string { return fmt.Sprint(*r) }
+
+func (r *ratioList) Set(s string) error {
+	lhs, limit, ok := strings.Cut(s, "<=")
+	i := strings.LastIndex(lhs, "/Benchmark")
+	if !ok || i <= 0 {
+		return fmt.Errorf("want BenchmarkA/BenchmarkB<=limit, got %q", s)
+	}
+	max, err := strconv.ParseFloat(strings.TrimSpace(limit), 64)
+	if err != nil || max <= 0 {
+		return fmt.Errorf("bad ratio limit in %q", s)
+	}
+	*r = append(*r, ratioCheck{num: strings.TrimSpace(lhs[:i]), den: strings.TrimSpace(lhs[i+1:]), max: max})
+	return nil
+}
+
 func main() {
 	var (
 		baseline = flag.String("baseline", "", "pinned baseline JSON file")
 		maxRatio = flag.Float64("max-ratio", 2, "fail when measured/baseline exceeds this")
 		maps     mappingList
+		ratios   ratioList
 	)
 	flag.Var(&maps, "m", "BenchmarkName=dotted.json.path (repeatable)")
+	flag.Var(&ratios, "ratio", "BenchmarkA/BenchmarkB<=limit: same-run ratio bound (repeatable)")
 	flag.Parse()
 	in := io.Reader(os.Stdin)
 	if flag.NArg() == 1 {
@@ -67,29 +103,48 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	if err := run(in, os.Stdout, *baseline, *maxRatio, maps); err != nil {
+	if err := run(in, os.Stdout, *baseline, *maxRatio, maps, ratios); err != nil {
 		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(in io.Reader, out io.Writer, baselineFile string, maxRatio float64, maps mappingList) error {
-	if baselineFile == "" || len(maps) == 0 {
-		return fmt.Errorf("usage: benchguard -baseline FILE -m Bench=path [...] [bench-output]")
-	}
-	raw, err := os.ReadFile(baselineFile)
-	if err != nil {
-		return err
+func run(in io.Reader, out io.Writer, baselineFile string, maxRatio float64,
+	maps mappingList, ratios ratioList) error {
+	if (baselineFile == "") != (len(maps) == 0) || len(maps)+len(ratios) == 0 {
+		return fmt.Errorf("usage: benchguard [-baseline FILE -m Bench=path ...] [-ratio A/B<=x ...] [bench-output]")
 	}
 	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("%s: %w", baselineFile, err)
+	if baselineFile != "" {
+		raw, err := os.ReadFile(baselineFile)
+		if err != nil {
+			return err
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			return fmt.Errorf("%s: %w", baselineFile, err)
+		}
 	}
 	results, err := parseBench(in)
 	if err != nil {
 		return err
 	}
 	var failures []string
+	for _, r := range ratios {
+		num, den := results[r.num], results[r.den]
+		for name, samples := range map[string][]float64{r.num: num, r.den: den} {
+			if len(samples) == 0 {
+				return fmt.Errorf("benchmark %s not found in input (did it run?)", name)
+			}
+		}
+		ratio := median(num) / median(den)
+		verdict := "ok"
+		if ratio > r.max {
+			verdict = "REGRESSION"
+			failures = append(failures, r.num+"/"+r.den)
+		}
+		fmt.Fprintf(out, "%-44s ratio %5.2f over %s (limit %g)  %s\n",
+			r.num, ratio, r.den, r.max, verdict)
+	}
 	for _, m := range maps {
 		base, err := resolvePath(doc, m.path)
 		if err != nil {
@@ -113,8 +168,8 @@ func run(in io.Reader, out io.Writer, baselineFile string, maxRatio float64, map
 			m.bench, cur, base, ratio, verdict)
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed beyond %gx: %s",
-			len(failures), maxRatio, strings.Join(failures, ", "))
+		return fmt.Errorf("%d benchmark(s) regressed beyond their bound: %s",
+			len(failures), strings.Join(failures, ", "))
 	}
 	return nil
 }

@@ -164,7 +164,10 @@ func (d *Debugger) DeleteCatch(id int) error {
 			if c.workBp != nil {
 				_ = d.Low.DeleteBp(c.workBp.ID)
 			}
-			d.catchpoints = append(d.catchpoints[:i], d.catchpoints[i+1:]...)
+			// Copy rather than shift in place: the per-token evaluators
+			// range over the slice while a one-shot hit deletes itself.
+			rest := make([]*Catchpoint, 0, len(d.catchpoints)-1)
+			d.catchpoints = append(append(rest, d.catchpoints[:i]...), d.catchpoints[i+1:]...)
 			d.syncInternalStop()
 			return nil
 		}
@@ -343,7 +346,7 @@ func (d *Debugger) hitCatch(c *Catchpoint, ctx *lowdbg.StopCtx, note string) low
 
 func (d *Debugger) evalReceiveCatch(ctx *lowdbg.StopCtx, conn *Connection, tok *Token) lowdbg.Disposition {
 	disp := lowdbg.DispContinue
-	for _, c := range append([]*Catchpoint(nil), d.catchpoints...) {
+	for _, c := range d.catchpoints {
 		if !c.Enabled {
 			continue
 		}
@@ -375,7 +378,7 @@ func (d *Debugger) evalReceiveCatch(ctx *lowdbg.StopCtx, conn *Connection, tok *
 
 func (d *Debugger) evalSendCatch(ctx *lowdbg.StopCtx, conn *Connection, tok *Token) lowdbg.Disposition {
 	disp := lowdbg.DispContinue
-	for _, c := range append([]*Catchpoint(nil), d.catchpoints...) {
+	for _, c := range d.catchpoints {
 		if !c.Enabled {
 			continue
 		}
@@ -407,7 +410,7 @@ func (d *Debugger) evalStepCatch(ctx *lowdbg.StopCtx, module string, atEnd bool)
 		boundary = "end"
 	}
 	disp := lowdbg.DispContinue
-	for _, c := range append([]*Catchpoint(nil), d.catchpoints...) {
+	for _, c := range d.catchpoints {
 		if !c.Enabled || c.Kind != want || c.Actor != module {
 			continue
 		}
@@ -420,7 +423,7 @@ func (d *Debugger) evalStepCatch(ctx *lowdbg.StopCtx, module string, atEnd bool)
 
 func (d *Debugger) evalScheduledCatch(ctx *lowdbg.StopCtx, a *Actor) lowdbg.Disposition {
 	disp := lowdbg.DispContinue
-	for _, c := range append([]*Catchpoint(nil), d.catchpoints...) {
+	for _, c := range d.catchpoints {
 		if !c.Enabled || c.Kind != CatchScheduled || c.Actor != a.Name {
 			continue
 		}

@@ -103,14 +103,18 @@ func Attach(low *lowdbg.Debugger) *Debugger {
 	low.BreakFuncInternal(symActorSync, d.onActorSync, nil)
 	// Data exchanges (contribution #3). Data-link breakpoints carry the
 	// IsData flag so mitigation option 1 can disable them wholesale;
-	// control-link variants stay alive.
+	// control-link variants stay alive. All four are typed: a runtime
+	// that announces a call with a lowdbg.DataCall record builds no
+	// argument list for them.
 	for _, sym := range []string{symLinkPush, symCtrlPush} {
 		bp := low.BreakFuncInternal(sym, d.onPushEnter, d.onPushReturn)
 		bp.IsData = sym == symLinkPush
+		bp.Typed = true
 	}
 	for _, sym := range []string{symLinkPop, symCtrlPop} {
 		bp := low.BreakFuncInternal(sym, d.onPopEnter, d.onPopReturn)
 		bp.IsData = sym == symLinkPop
+		bp.Typed = true
 	}
 	// Observability: when a recorder is installed on the kernel, expose
 	// the model-update workload (this layer stays pedf-free; it only
@@ -199,7 +203,8 @@ func (d *Debugger) addConn(actor *Actor, port, dir, typ string) *Connection {
 	if c, ok := d.conns[q]; ok {
 		return c
 	}
-	c := &Connection{Actor: actor, Name: port, Dir: dir, Type: typ, RecordCap: d.DefaultRecordCap}
+	c := &Connection{Actor: actor, Name: port, Dir: dir, Type: typ, RecordCap: d.DefaultRecordCap,
+		qualified: q, pushOp: "push:" + port, popOp: "pop:" + port}
 	d.conns[q] = c
 	if dir == "input" {
 		actor.Inputs = append(actor.Inputs, c)
@@ -383,36 +388,65 @@ func (d *Debugger) onWorkExit(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 
 // ---- data-exchange actions (contribution #3) ----
 
+// dataCall returns the typed record of a data-exchange call. A runtime
+// that announces plain arguments (a foreign target) gets one parsed from
+// them; a pop's value is then its return value.
+func dataCall(ctx *lowdbg.StopCtx, push bool) *lowdbg.DataCall {
+	if ctx.Data != nil {
+		return ctx.Data
+	}
+	c := &lowdbg.DataCall{
+		Link:    lowdbg.ArgInt(ctx.Args, "link"),
+		Src:     lowdbg.ArgString(ctx.Args, "src"),
+		SrcPort: lowdbg.ArgString(ctx.Args, "src_port"),
+		Dst:     lowdbg.ArgString(ctx.Args, "dst"),
+		DstPort: lowdbg.ArgString(ctx.Args, "dst_port"),
+		Index:   uint64(lowdbg.ArgInt(ctx.Args, "index")),
+		Push:    push,
+	}
+	val, _ := lowdbg.ArgVal(ctx.Args, "value")
+	if !push {
+		val = ctx.Ret
+	}
+	c.Value, _ = val.(filterc.Value)
+	return c
+}
+
+// enterData marks a's data-exchange call in flight and learns its
+// execution context.
+func (d *Debugger) enterData(ctx *lowdbg.StopCtx, a *Actor, op string) {
+	a.inFlightOp = op
+	if a.Proc == nil && a.Kind != KindEnv {
+		a.Proc = ctx.Proc
+		d.actorByProc[ctx.Proc] = a
+	}
+}
+
 func (d *Debugger) onPushEnter(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	d.DataEvents++
-	src := lowdbg.ArgString(ctx.Args, "src")
-	if a := d.actors[src]; a != nil {
-		a.inFlightOp = "push:" + lowdbg.ArgString(ctx.Args, "src_port")
-		if a.Proc == nil && a.Kind != KindEnv {
-			a.Proc = ctx.Proc
-			d.actorByProc[ctx.Proc] = a
-		}
+	if l := d.links[dataCall(ctx, true).Link]; l != nil {
+		d.enterData(ctx, l.Src.Actor, l.Src.pushOp)
 	}
 	return lowdbg.DispContinue
 }
 
 func (d *Debugger) onPushReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
-	id := lowdbg.ArgInt(ctx.Args, "link")
-	l := d.links[id]
+	c := dataCall(ctx, true)
+	l := d.links[c.Link]
 	if l == nil {
 		return lowdbg.DispContinue
 	}
 	srcActor := l.Src.Actor
 	srcActor.inFlightOp = ""
-	val, _ := lowdbg.ArgVal(ctx.Args, "value")
-	fv, _ := val.(filterc.Value)
 	d.tokenSeq++
+	// The pushed value aliases the producer's storage: the model keeps
+	// its own copy.
 	tok := &Token{
 		ID: d.tokenSeq,
 		Hop: Hop{
 			From: srcActor.Name, To: l.Dst.Actor.Name,
-			Iface: l.Dst.Qualified(), Type: typeName(fv), Val: fv,
-			Seq: uint64(lowdbg.ArgInt(ctx.Args, "index")), At: ctx.Proc.Now(),
+			Iface: l.Dst.qualified, Type: l.typeName(c.Value), Val: c.Value.Clone(),
+			Seq: c.Index, At: ctx.Proc.Now(),
 		},
 	}
 	if srcActor.Behavior != BehaviorUnknown && len(srcActor.firingInputs) > 0 {
@@ -428,20 +462,15 @@ func (d *Debugger) onPushReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 
 func (d *Debugger) onPopEnter(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	d.DataEvents++
-	dst := lowdbg.ArgString(ctx.Args, "dst")
-	if a := d.actors[dst]; a != nil {
-		a.inFlightOp = "pop:" + lowdbg.ArgString(ctx.Args, "dst_port")
-		if a.Proc == nil && a.Kind != KindEnv {
-			a.Proc = ctx.Proc
-			d.actorByProc[ctx.Proc] = a
-		}
+	if l := d.links[dataCall(ctx, false).Link]; l != nil {
+		d.enterData(ctx, l.Dst.Actor, l.Dst.popOp)
 	}
 	return lowdbg.DispContinue
 }
 
 func (d *Debugger) onPopReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
-	id := lowdbg.ArgInt(ctx.Args, "link")
-	l := d.links[id]
+	c := dataCall(ctx, false)
+	l := d.links[c.Link]
 	if l == nil {
 		return lowdbg.DispContinue
 	}
@@ -457,11 +486,10 @@ func (d *Debugger) onPopReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 		// were off): synthesize it from the observed return value.
 		// The return value is the consumer's read-window entry, which
 		// the next firing overwrites: keep a copy.
-		fv, _ := ctx.Ret.(filterc.Value)
 		d.tokenSeq++
 		tok = &Token{ID: d.tokenSeq, Hop: Hop{
 			From: l.Src.Actor.Name, To: dstActor.Name,
-			Iface: l.Dst.Qualified(), Type: typeName(fv), Val: fv.Clone(), At: ctx.Proc.Now(),
+			Iface: l.Dst.qualified, Type: l.typeName(c.Value), Val: c.Value.Clone(), At: ctx.Proc.Now(),
 		}}
 	}
 	tok.Popped = true
@@ -472,6 +500,16 @@ func (d *Debugger) onPopReturn(ctx *lowdbg.StopCtx) lowdbg.Disposition {
 	dstActor.LastToken = tok
 	dstActor.firingInputs = append(dstActor.firingInputs, tok)
 	return d.evalReceiveCatch(ctx, l.Dst, tok)
+}
+
+// typeName is typeName(v) memoized on the link's last payload type:
+// rendering an array type goes through fmt, and a link's tokens share
+// one type.
+func (l *LinkInfo) typeName(v filterc.Value) string {
+	if v.Type == nil || v.Type != l.lastType {
+		l.lastType, l.lastTypeName = v.Type, typeName(v)
+	}
+	return l.lastTypeName
 }
 
 func typeName(v filterc.Value) string {

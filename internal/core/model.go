@@ -210,10 +210,15 @@ type Connection struct {
 
 	// LastToken is the most recent token through this endpoint.
 	LastToken *Token
+
+	// Strings the per-token path would otherwise build on every event:
+	// the qualified name and the in-flight reasons "push:<port>" and
+	// "pop:<port>".
+	qualified, pushOp, popOp string
 }
 
 // Qualified returns "actor::port", the paper's interface naming.
-func (c *Connection) Qualified() string { return c.Actor.Name + "::" + c.Name }
+func (c *Connection) Qualified() string { return c.qualified }
 
 func (c *Connection) String() string {
 	return fmt.Sprintf("%s (%s %s)", c.Qualified(), c.Dir, c.Type)
@@ -241,6 +246,9 @@ type LinkInfo struct {
 
 	TotalPushed uint64
 	TotalPopped uint64
+
+	lastType     *filterc.Type // payload type memo of typeName
+	lastTypeName string
 }
 
 // Occupancy returns the number of tokens currently in flight — what

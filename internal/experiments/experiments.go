@@ -625,7 +625,12 @@ func (r *Runner) P1() error {
 	r.printf("none (near attached-idle cost); option 2 dispatches only the watched actor's.\n")
 	r.printf("recorder overhead: %.2fx native (obs row) vs %.2fx for the full dataflow\n",
 		ratios[1], ratios[3])
-	r.printf("layer — always-on event recording costs less than breakpoint instrumentation.\n")
+	if ratios[3] > ratios[1] {
+		r.printf("layer — always-on event recording costs less than breakpoint instrumentation.\n")
+	} else {
+		r.printf("layer — with typed data hooks, breakpoint instrumentation costs no more than\n")
+		r.printf("always-on event recording.\n")
+	}
 	return nil
 }
 

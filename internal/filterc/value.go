@@ -13,6 +13,7 @@ package filterc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -334,34 +335,70 @@ func (v Value) Equal(o Value) bool {
 
 // String renders the value the way the debugger prints it, e.g.
 // "(U16) 5" for scalars and "{Addr = 0x145D, Izz = 168460492}" for structs.
+//
+// Scalars render without fmt (strconv.FormatInt does not allocate below
+// 100), and an aggregate renders into one builder: the dataflow
+// debugger renders every token's payload.
 func (v Value) String() string {
 	if v.Type == nil {
 		return "<nil>"
+	}
+	if v.Type.Kind == KScalar {
+		switch v.Type.Base {
+		case Str:
+			return strconv.Quote(v.S)
+		case Void:
+			return "void"
+		default:
+			return strconv.FormatInt(v.I, 10)
+		}
+	}
+	var b strings.Builder
+	b.Grow(2 + 8*len(v.Elems))
+	v.writeTo(&b)
+	return b.String()
+}
+
+// writeTo appends v's String rendering to b.
+func (v Value) writeTo(b *strings.Builder) {
+	if v.Type == nil {
+		b.WriteString("<nil>")
+		return
 	}
 	switch v.Type.Kind {
 	case KScalar:
 		switch v.Type.Base {
 		case Str:
-			return fmt.Sprintf("%q", v.S)
+			var q [32]byte
+			b.Write(strconv.AppendQuote(q[:0], v.S))
 		case Void:
-			return "void"
+			b.WriteString("void")
 		default:
-			return fmt.Sprintf("%d", v.I)
+			var n [20]byte
+			b.Write(strconv.AppendInt(n[:0], v.I, 10))
 		}
 	case KArray:
-		parts := make([]string, len(v.Elems))
+		b.WriteByte('[')
 		for i, e := range v.Elems {
-			parts[i] = e.String()
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			e.writeTo(b)
 		}
-		return "[" + strings.Join(parts, ", ") + "]"
+		b.WriteByte(']')
 	case KStruct:
-		parts := make([]string, len(v.Elems))
+		b.WriteByte('{')
 		for i, e := range v.Elems {
-			parts[i] = fmt.Sprintf("%s = %s", v.Type.Fields[i].Name, e.String())
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(v.Type.Fields[i].Name)
+			b.WriteString(" = ")
+			e.writeTo(b)
 		}
-		return "{" + strings.Join(parts, ", ") + "}"
+		b.WriteByte('}')
 	default:
-		return "?"
+		b.WriteByte('?')
 	}
 }
 

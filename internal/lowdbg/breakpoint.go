@@ -42,11 +42,15 @@ const (
 
 // StopCtx is the context handed to breakpoint conditions and actions.
 type StopCtx struct {
-	Dbg      *Debugger
-	Proc     *sim.Proc
-	Fn       string // symbol (function breakpoints) or function name (line)
-	Args     []Arg
-	Ret      any // return value for finish actions
+	Dbg  *Debugger
+	Proc *sim.Proc
+	Fn   string // symbol (function breakpoints) or function name (line)
+	// Args is the call's argument list. On a data-exchange call it is
+	// nil unless a breakpoint that runs is not Typed.
+	Args []Arg
+	// Data is the typed record of a data-exchange call (nil otherwise).
+	Data     *DataCall
+	Ret      any // return value for finish actions (see DataCall.Value)
 	IsReturn bool
 	Pos      filterc.Pos
 	Frame    *filterc.Frame // current frame for line breakpoints
@@ -71,7 +75,12 @@ type Breakpoint struct {
 	Internal bool
 	// IsData marks data-exchange breakpoints, which the paper's
 	// mitigation option 1 disables wholesale (DataBreakpointsEnabled).
-	IsData   bool
+	IsData bool
+	// Typed marks a breakpoint whose Condition, Action and OnReturn read
+	// a data-exchange call's typed record (StopCtx.Data) rather than
+	// Args and Ret whenever the call has one: such calls build no
+	// argument list for it.
+	Typed    bool
 	HitCount int
 	// Condition, when set, must return true for the breakpoint to apply.
 	Condition func(*StopCtx) bool
@@ -214,10 +223,15 @@ func (d *Debugger) removeBp(bp *Breakpoint) {
 	d.armChanged()
 }
 
+// removeFrom returns s without bp in a fresh slice, never shifting s in
+// place: a hook ranging over s while an action removes a breakpoint
+// still visits every other breakpoint exactly once, with no per-hit
+// snapshot.
 func removeFrom(s []*Breakpoint, bp *Breakpoint) []*Breakpoint {
 	for i, b := range s {
 		if b == bp {
-			return append(s[:i], s[i+1:]...)
+			out := make([]*Breakpoint, 0, len(s)-1)
+			return append(append(out, s[:i]...), s[i+1:]...)
 		}
 	}
 	return s

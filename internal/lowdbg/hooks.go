@@ -9,6 +9,56 @@ import (
 	"dfdbg/internal/sim"
 )
 
+// DataCall is the typed argument record of one data-exchange call
+// (pedf_link_push/pop and the control-link variants). A runtime keeps
+// one per link and direction, fills the fixed fields once and refreshes
+// Index and Value on every call, so announcing a token through EnterData
+// builds nothing: Typed breakpoints (the dataflow layer's) read the
+// record through StopCtx.Data, and the GDB-style []Arg is built only
+// when an armed breakpoint on the symbol is not typed.
+type DataCall struct {
+	Link    int64
+	Src     string
+	SrcPort string
+	Dst     string
+	DstPort string
+	Index   uint64
+	// Push marks a push, whose argument list carries the value.
+	Push bool
+	// Value is the pushed value (set before EnterData) or the popped
+	// value (set before ExitData). It aliases the caller's storage,
+	// which later statements and firings overwrite: a handler that
+	// keeps it must clone it.
+	Value filterc.Value
+
+	fr frame
+}
+
+// Args builds the call's GDB-style argument list: link, src, src_port,
+// dst, dst_port, index and, for a push, a private copy of value.
+func (c *DataCall) Args() []Arg {
+	args := []Arg{
+		{Name: "link", Val: c.Link},
+		{Name: "src", Val: c.Src},
+		{Name: "src_port", Val: c.SrcPort},
+		{Name: "dst", Val: c.Dst},
+		{Name: "dst_port", Val: c.DstPort},
+		{Name: "index", Val: int64(c.Index)},
+	}
+	if c.Push {
+		args = append(args, Arg{Name: "value", Val: c.Value.Clone()})
+	}
+	return args
+}
+
+// frame is one intercepted call's breakpoint state between its entry and
+// its return. A DataCall embeds its frame, so a data call reuses it.
+type frame struct {
+	ctx    StopCtx
+	fin    []*Breakpoint // finish actions to run at the return
+	boxRet bool          // a pending finish action is untyped: it reads ctx.Ret
+}
+
 // EnterFunc is the target-program surface: the PEDF runtime calls it at
 // the entry of every framework API function and of every WORK method,
 // passing the mangled symbol and a builder for the parsed arguments. The
@@ -19,35 +69,87 @@ import (
 // breakpoints fire.
 //
 // This models GDB planting breakpoints at function addresses: with no
-// breakpoint on fn, the cost is one map lookup (the measurable
-// always-attached overhead); with breakpoints, their actions run and may
-// stop the world.
+// function breakpoint armed anywhere, the cost is one armed-count
+// compare (the measurable always-attached overhead); with breakpoints on
+// fn, their actions run and may stop the world.
 func (d *Debugger) EnterFunc(p *sim.Proc, fn string, build func() []Arg) func(ret any) {
 	d.HookCalls++
-	// Armed-count fast path: with no function breakpoint planted anywhere
-	// the cost is one integer compare — no map lookup, no hashing of fn.
 	if d.armedFunc == 0 {
 		return nil
 	}
-	bps := d.funcBPs[fn]
-	if len(bps) == 0 {
+	bps, untyped := d.liveOn(fn)
+	if bps == nil {
 		return nil
 	}
-	// Cheap pre-scan: when every breakpoint on fn is disabled or gated
-	// out (mitigation option 1), the only cost is this loop — no
-	// allocation, no action dispatch.
-	active := 0
+	fr := new(frame)
+	if !d.hit(fr, bps, untyped, p, fn, build, nil) {
+		return nil
+	}
+	return func(ret any) { d.exit(fr, ret) }
+}
+
+// EnterData is EnterFunc for a data-exchange call described by a typed
+// record. It reports whether finish actions are pending, in which case
+// the caller must call ExitData at the call's return (after setting
+// c.Value, for a pop).
+func (d *Debugger) EnterData(p *sim.Proc, fn string, c *DataCall) bool {
+	d.HookCalls++
+	if d.armedFunc == 0 {
+		return false
+	}
+	bps, untyped := d.liveOn(fn)
+	if bps == nil {
+		return false
+	}
+	return d.hit(&c.fr, bps, untyped, p, fn, nil, c)
+}
+
+// ExitData runs the finish actions EnterData left pending on c. An
+// untyped finisher of a pop sees c.Value as ctx.Ret.
+func (d *Debugger) ExitData(c *DataCall) {
+	var ret any
+	if c.fr.boxRet && !c.Push {
+		ret = c.Value
+	}
+	d.exit(&c.fr, ret)
+}
+
+// runs reports whether bp takes part in a hit: enabled, and not a data
+// breakpoint gated off by mitigation option 1.
+func (d *Debugger) runs(bp *Breakpoint) bool {
+	return bp.Enabled && !(bp.IsData && !d.DataBreakpointsEnabled)
+}
+
+// liveOn returns fn's breakpoints when at least one of them runs (nil
+// otherwise), and whether a running one is untyped. When every
+// breakpoint on fn is disabled or gated out, this loop is the only cost:
+// no allocation, no action dispatch.
+func (d *Debugger) liveOn(fn string) (bps []*Breakpoint, untyped bool) {
+	bps = d.funcBPs[fn]
+	active := false
 	for _, bp := range bps {
-		if bp.Enabled && !(bp.IsData && !d.DataBreakpointsEnabled) {
-			active++
+		if d.runs(bp) {
+			active = true
+			untyped = untyped || !bp.Typed
 		}
 	}
-	if active == 0 {
-		return nil
+	if !active {
+		return nil, false
 	}
+	return bps, untyped
+}
+
+// hit runs fn's breakpoints for one call in frame fr and reports whether
+// finish actions are pending. The argument list is built only for an
+// untyped breakpoint, or for a call without a typed record.
+func (d *Debugger) hit(fr *frame, bps []*Breakpoint, untyped bool, p *sim.Proc, fn string,
+	build func() []Arg, data *DataCall) bool {
 	var args []Arg
-	if build != nil {
+	switch {
+	case data == nil && build != nil:
 		args = build()
+	case data != nil && untyped:
+		args = data.Args()
 	}
 	// Live intrusiveness accounting (only while observed: the time.Now
 	// pair costs more than the handlers it measures on the fast path).
@@ -56,26 +158,25 @@ func (d *Debugger) EnterFunc(p *sim.Proc, fn string, build func() []Arg) func(re
 	if rec != nil {
 		t0 = time.Now()
 	}
-	ctx := &StopCtx{Dbg: d, Proc: p, Fn: fn, Args: args}
-	var finishers []*Breakpoint
+	fr.ctx = StopCtx{Dbg: d, Proc: p, Fn: fn, Args: args, Data: data}
+	fr.fin = fr.fin[:0]
+	fr.boxRet = false
 	var stopBp *Breakpoint
-	// Iterate over a snapshot: actions may remove breakpoints.
-	snapshot := make([]*Breakpoint, len(bps))
-	copy(snapshot, bps)
-	for _, bp := range snapshot {
-		if !bp.Enabled {
+	active := 0
+	// Ranging over bps is safe while actions remove breakpoints: removal
+	// replaces the symbol's slice instead of shifting it in place.
+	for _, bp := range bps {
+		if !d.runs(bp) {
 			continue
 		}
-		if bp.IsData && !d.DataBreakpointsEnabled {
-			continue
-		}
-		if bp.Condition != nil && !bp.Condition(ctx) {
+		active++
+		if bp.Condition != nil && !bp.Condition(&fr.ctx) {
 			continue
 		}
 		bp.HitCount++
 		disp := DispStop
 		if bp.Action != nil {
-			disp = bp.Action(ctx)
+			disp = bp.Action(&fr.ctx)
 		} else if bp.Internal {
 			disp = DispContinue
 		}
@@ -83,7 +184,8 @@ func (d *Debugger) EnterFunc(p *sim.Proc, fn string, build func() []Arg) func(re
 			stopBp = bp
 		}
 		if bp.OnReturn != nil {
-			finishers = append(finishers, bp)
+			fr.fin = append(fr.fin, bp)
+			fr.boxRet = fr.boxRet || !bp.Typed
 		}
 		if bp.Temporary {
 			d.removeBp(bp)
@@ -104,6 +206,9 @@ func (d *Debugger) EnterFunc(p *sim.Proc, fn string, build func() []Arg) func(re
 		}
 	}
 	if stopBp != nil {
+		if args == nil && data != nil {
+			args = data.Args() // a stop reports the full call
+		}
 		kind := StopBreakpoint
 		if stopBp.Internal {
 			kind = StopAction
@@ -112,38 +217,45 @@ func (d *Debugger) EnterFunc(p *sim.Proc, fn string, build func() []Arg) func(re
 		if stopBp.Note != "" {
 			reason = stopBp.Note
 		}
-		if ctx.StopNote != "" {
-			reason = ctx.StopNote
+		if fr.ctx.StopNote != "" {
+			reason = fr.ctx.StopNote
 		}
 		d.stopWorld(p, &StopEvent{
 			Kind: kind, Reason: reason, Proc: p, Fn: fn, Bp: stopBp, Args: args,
 		})
 	}
-	if len(finishers) == 0 {
-		return nil
-	}
-	return func(ret any) {
-		rctx := &StopCtx{Dbg: d, Proc: p, Fn: fn, Args: args, Ret: ret, IsReturn: true}
-		for _, bp := range finishers {
-			if !bp.Enabled {
-				continue
-			}
-			if bp.IsData && !d.DataBreakpointsEnabled {
-				continue
-			}
-			if bp.OnReturn(rctx) == DispStop {
-				reason := fmt.Sprintf("Finish breakpoint %d, %s returned %v", bp.ID, fn, ret)
-				if bp.Note != "" {
-					reason = bp.Note
+	return len(fr.fin) > 0
+}
+
+// exit runs the finish actions pending in fr with return value ret.
+func (d *Debugger) exit(fr *frame, ret any) {
+	ctx := &fr.ctx
+	ctx.Ret, ctx.IsReturn, ctx.StopNote = ret, true, ""
+	for _, bp := range fr.fin {
+		if !d.runs(bp) {
+			continue
+		}
+		if bp.OnReturn(ctx) == DispStop {
+			args := ctx.Args
+			if c := ctx.Data; c != nil {
+				if args == nil {
+					args = c.Args()
 				}
-				if rctx.StopNote != "" {
-					reason = rctx.StopNote
+				if ret == nil && !c.Push {
+					ret = c.Value
 				}
-				d.stopWorld(p, &StopEvent{
-					Kind: StopAction, Reason: reason, Proc: p, Fn: fn,
-					Bp: bp, Args: args, Ret: ret, IsReturn: true,
-				})
 			}
+			reason := fmt.Sprintf("Finish breakpoint %d, %s returned %v", bp.ID, ctx.Fn, ret)
+			if bp.Note != "" {
+				reason = bp.Note
+			}
+			if ctx.StopNote != "" {
+				reason = ctx.StopNote
+			}
+			d.stopWorld(ctx.Proc, &StopEvent{
+				Kind: StopAction, Reason: reason, Proc: ctx.Proc, Fn: ctx.Fn,
+				Bp: bp, Args: args, Ret: ret, IsReturn: true,
+			})
 		}
 	}
 }
@@ -183,9 +295,8 @@ func (h *interpHooks) OnStmt(fr *filterc.Frame, pos filterc.Pos) {
 	}
 	if bps := d.lineBPs[lineKey(pos.File, pos.Line)]; len(bps) > 0 {
 		ctx := &StopCtx{Dbg: d, Proc: h.p, Fn: fr.FuncName(), Pos: pos, Frame: fr}
-		snapshot := make([]*Breakpoint, len(bps))
-		copy(snapshot, bps)
-		for _, bp := range snapshot {
+		// Safe while actions remove breakpoints (removal copies).
+		for _, bp := range bps {
 			if !bp.Enabled {
 				continue
 			}

@@ -16,8 +16,10 @@
 //
 // The target program (the PEDF runtime and the filterc interpreters)
 // reports function entries/exits and statement executions to the
-// debugger; with no breakpoints planted the fast path is a map lookup,
-// and the intrusiveness experiments (P1) measure exactly this surface.
+// debugger; with no breakpoints planted the fast path is one armed-count
+// compare, and the intrusiveness experiments (P1) measure exactly this
+// surface. Data-exchange calls arrive as a typed DataCall record; their
+// []Arg is built only for a breakpoint that is not typed.
 package lowdbg
 
 import (

@@ -13,8 +13,9 @@
 //   - Allocation-free recording: the ring is allocated once; Event is a
 //     flat struct whose string fields alias names that already exist
 //     (actor, port, module). Payload rendering — the only allocating
-//     path — is opt-in (SetPayloads) and only the post-mortem trace
-//     comparator asks for it.
+//     path — is opt-in (SetPayloads). Every debug world turns it on for
+//     the `trace` queries; pedf renders a token once, at its push, and
+//     its pop event reuses the string.
 //   - Single writer per kernel: the baton-passing protocol guarantees
 //     one process runs at a time, so the ring needs no locks. Metrics
 //     use atomics so an optional net/http exposition endpoint can read

@@ -236,6 +236,7 @@ func (rt *Runtime) Elaborate(strict bool) error {
 			pushReason: "push:" + src.Name,
 			popReason:  "pop:" + dst.Name,
 		}
+		l.initCalls()
 		src.link = l
 		dst.link = l
 		rt.links = append(rt.links, l)

@@ -80,6 +80,11 @@ type Token struct {
 	Seq      uint64 // production index on its link
 	Val      filterc.Value
 	PushedAt sim.Time
+
+	// payload is Val rendered for the obs ring when the push (or the
+	// surgery that last set Val) recorded one, "" otherwise: the pop
+	// event reuses it instead of rendering the token a second time.
+	payload string
 }
 
 // DefaultLinkCap is the FIFO depth of a link unless overridden; a full
@@ -113,6 +118,20 @@ type Link struct {
 	// Blocked-state reasons ("push:<port>", "pop:<port>"), built once at
 	// elaboration so that blocking allocates nothing.
 	pushReason, popReason string
+	// Typed hook records announcing pushes and pops. Each side of a link
+	// has one process, so one record per direction is reused call after
+	// call.
+	pushCall, popCall lowdbg.DataCall
+}
+
+// initCalls fills the fixed fields of the link's hook records.
+func (l *Link) initCalls() {
+	l.pushCall = lowdbg.DataCall{
+		Link: int64(l.ID), Src: l.Src.ActorName, SrcPort: l.Src.Name,
+		Dst: l.Dst.ActorName, DstPort: l.Dst.Name, Push: true,
+	}
+	l.popCall = l.pushCall
+	l.popCall.Push = false
 }
 
 // slot returns the i-th queued token (0 = oldest). The pointer is into
@@ -147,11 +166,13 @@ func (l *Link) prealloc(slots int) {
 }
 
 // commitSlot fills the reserved slot and accounts the push. The value is
-// cloned into the slot's recycled storage.
-func (l *Link) commitSlot(s *Token, seq uint64, v filterc.Value, at sim.Time) {
+// cloned into the slot's recycled storage; payload is its rendering, or
+// "" when none was made.
+func (l *Link) commitSlot(s *Token, seq uint64, v filterc.Value, payload string, at sim.Time) {
 	s.Seq = seq
 	s.PushedAt = at
 	v.CloneInto(&s.Val)
+	s.payload = payload
 	l.n++
 	l.pushes++
 }
@@ -227,18 +248,6 @@ func (l *Link) popSym() string {
 	return SymLinkPop
 }
 
-// callArgs builds the hook argument list shared by push and pop.
-func (l *Link) callArgs(index uint64) []lowdbg.Arg {
-	return []lowdbg.Arg{
-		{Name: "link", Val: int64(l.ID)},
-		{Name: "src", Val: l.Src.ActorName},
-		{Name: "src_port", Val: l.Src.Name},
-		{Name: "dst", Val: l.Dst.ActorName},
-		{Name: "dst_port", Val: l.Dst.Name},
-		{Name: "index", Val: int64(index)},
-	}
-}
-
 // push appends a token, blocking while the FIFO is full. producer is the
 // acting filter (nil for environment feeders). pe is the producing side's
 // processing element.
@@ -251,12 +260,9 @@ func (l *Link) push(p *sim.Proc, producer *Filter, pe *mach.PE, v filterc.Value)
 			v.Type, l.Src.Type, l.Src.Qualified())
 	}
 	seq := l.pushes
-	exit := l.rt.hookData(p, l.Src.ActorName, l.pushSym(), func() []lowdbg.Arg {
-		// v may share storage with the producer's frame or read window,
-		// which later statements and firings overwrite; a debugger keeps
-		// the pushed value, so it gets its own copy.
-		return append(l.callArgs(seq), lowdbg.Arg{Name: "value", Val: v.Clone()})
-	})
+	call := &l.pushCall
+	call.Index, call.Value = seq, v
+	exit := l.rt.hookData(p, l.Src.ActorName, l.pushSym(), call)
 	rec := l.rt.K.Observer()
 	fi := l.rt.K.Faults()
 	capEff := l.Cap
@@ -303,28 +309,31 @@ func (l *Link) push(p *sim.Proc, producer *Filter, pe *mach.PE, v filterc.Value)
 		l.pushes++
 		l.drops++
 		l.rt.K.NoteProgress()
-		if exit != nil {
-			exit(nil)
+		if exit {
+			l.rt.Dbg.ExitData(call)
 		}
 		return nil
 	}
-	l.commitSlot(l.reserve(), seq, v, p.Now())
+	// Render the payload once: the token carries it to its pop event.
+	var payload string
+	wantPush := rec.Wants(obs.KPush)
+	if wantPush && rec.Payloads() {
+		payload = v.String()
+	}
+	l.commitSlot(l.reserve(), seq, v, payload, p.Now())
 	l.rt.K.NoteProgress()
 	l.notEmpty.Notify()
-	if rec.Wants(obs.KPush) {
-		ev := obs.Event{
+	if wantPush {
+		rec.Record(obs.Event{
 			At: uint64(p.Now()), Kind: obs.KPush, PE: int32(pe.ID),
 			Link: int32(l.ID), Arg: int64(l.n), Arg2: int64(seq),
 			Actor: l.Src.ActorName, Other: l.Dst.ActorName, Port: l.Src.Name,
-		}
-		if rec.Payloads() {
-			ev.Val = v.String()
-		}
-		rec.Record(ev)
+			Val: payload,
+		})
 	}
 	if act.Dup {
 		dseq := l.pushes
-		l.commitSlot(l.reserve(), dseq, v, p.Now())
+		l.commitSlot(l.reserve(), dseq, v, payload, p.Now())
 		l.notEmpty.Notify()
 		if rec.Wants(obs.KPush) {
 			rec.Record(obs.Event{
@@ -334,8 +343,8 @@ func (l *Link) push(p *sim.Proc, producer *Filter, pe *mach.PE, v filterc.Value)
 			})
 		}
 	}
-	if exit != nil {
-		exit(nil)
+	if exit {
+		l.rt.Dbg.ExitData(call)
 	}
 	return nil
 }
@@ -376,9 +385,9 @@ func (l *Link) blockEnd(rec *obs.Recorder, p *sim.Proc, f *Filter, pe int32, rea
 // The returned Token's Val is *dst.
 func (l *Link) pop(p *sim.Proc, consumer *Filter, dst *filterc.Value) (Token, error) {
 	seq := l.pops
-	exit := l.rt.hookData(p, l.Dst.ActorName, l.popSym(), func() []lowdbg.Arg {
-		return l.callArgs(seq)
-	})
+	call := &l.popCall
+	call.Index, call.Value = seq, filterc.Value{}
+	exit := l.rt.hookData(p, l.Dst.ActorName, l.popSym(), call)
 	rec := l.rt.K.Observer()
 	dstPE := int32(l.rt.portPE(l.Dst).ID)
 	if fi := l.rt.K.Faults(); fi != nil {
@@ -401,7 +410,7 @@ func (l *Link) pop(p *sim.Proc, consumer *Filter, dst *filterc.Value) (Token, er
 		consumer.setBlocked("")
 	}
 	s := &l.buf[l.head]
-	tok := Token{Seq: s.Seq, PushedAt: s.PushedAt}
+	tok := Token{Seq: s.Seq, PushedAt: s.PushedAt, payload: s.payload}
 	s.Val.CloneInto(dst)
 	tok.Val = *dst
 	l.head = (l.head + 1) % len(l.buf)
@@ -418,12 +427,16 @@ func (l *Link) pop(p *sim.Proc, consumer *Filter, dst *filterc.Value) (Token, er
 			Actor: l.Dst.ActorName, Other: l.Src.ActorName, Port: l.Dst.Name,
 		}
 		if rec.Payloads() {
-			ev.Val = tok.Val.String()
+			ev.Val = tok.payload
+			if ev.Val == "" { // payloads were off when it was pushed
+				ev.Val = tok.Val.String()
+			}
 		}
 		rec.Record(ev)
 	}
-	if exit != nil {
-		exit(tok.Val)
+	if exit {
+		call.Value = tok.Val
+		l.rt.Dbg.ExitData(call)
 	}
 	return tok, nil
 }
@@ -435,19 +448,21 @@ func (l *Link) pop(p *sim.Proc, consumer *Filter, dst *filterc.Value) (Token, er
 // truthful after manual token surgery.
 func (l *Link) InjectToken(v filterc.Value) {
 	seq := l.pushes
-	l.commitSlot(l.reserve(), seq, v, l.rt.K.Now())
+	rec := l.rt.K.Observer()
+	var payload string
+	if rec.Wants(obs.KInject) && rec.Payloads() {
+		payload = v.String()
+	}
+	l.commitSlot(l.reserve(), seq, v, payload, l.rt.K.Now())
 	l.rt.K.NoteProgress()
 	l.notEmpty.Notify()
-	if rec := l.rt.K.Observer(); rec.Wants(obs.KInject) {
-		ev := obs.Event{
+	if rec.Wants(obs.KInject) {
+		rec.Record(obs.Event{
 			At: uint64(l.rt.K.Now()), Kind: obs.KInject, PE: -1,
 			Link: int32(l.ID), Arg: int64(l.n), Arg2: int64(seq),
 			Actor: l.Src.ActorName, Other: l.Dst.ActorName, Port: l.Src.Name,
-		}
-		if rec.Payloads() {
-			ev.Val = v.String()
-		}
-		rec.Record(ev)
+			Val: payload,
+		})
 	}
 }
 
@@ -486,17 +501,19 @@ func (l *Link) ReplaceToken(i int, v filterc.Value) bool {
 	if i < 0 || i >= l.n {
 		return false
 	}
-	v.CloneInto(&l.slot(i).Val)
+	s := l.slot(i)
+	v.CloneInto(&s.Val)
+	s.payload = "" // stale: the pop renders the new payload unless done here
 	if rec := l.rt.K.Observer(); rec.Wants(obs.KReplace) {
-		ev := obs.Event{
+		if rec.Payloads() {
+			s.payload = v.String()
+		}
+		rec.Record(obs.Event{
 			At: uint64(l.rt.K.Now()), Kind: obs.KReplace, PE: -1,
 			Link: int32(l.ID), Arg: int64(l.n), Arg2: int64(i),
 			Actor: l.Src.ActorName, Other: l.Dst.ActorName, Port: l.Src.Name,
-		}
-		if rec.Payloads() {
-			ev.Val = v.String()
-		}
-		rec.Record(ev)
+			Val: s.payload,
+		})
 	}
 	return true
 }

@@ -190,15 +190,17 @@ func (rt *Runtime) hook(p *sim.Proc, fn string, args func() []lowdbg.Arg) func(a
 	return rt.Dbg.EnterFunc(p, fn, args)
 }
 
-// hookData reports a data-exchange call, honouring framework cooperation.
-func (rt *Runtime) hookData(p *sim.Proc, actor, fn string, args func() []lowdbg.Arg) func(any) {
+// hookData reports a data-exchange call through its typed record,
+// honouring framework cooperation. It reports whether the caller must
+// call rt.Dbg.ExitData(c) at the call's return.
+func (rt *Runtime) hookData(p *sim.Proc, actor, fn string, c *lowdbg.DataCall) bool {
 	if rt.Dbg == nil {
-		return nil
+		return false
 	}
 	if rt.coop != nil && !rt.coop[actor] {
-		return nil
+		return false
 	}
-	return rt.Dbg.EnterFunc(p, fn, args)
+	return rt.Dbg.EnterData(p, fn, c)
 }
 
 // registerObsMetrics publishes per-link and per-actor metrics into the

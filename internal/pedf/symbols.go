@@ -19,7 +19,8 @@ package pedf
 // framework's initialization phase (graph reconstruction, paper
 // contribution #1); scheduling symbols during controller steps
 // (contribution #2); link symbols on every token exchange
-// (contribution #3).
+// (contribution #3), announced with a typed lowdbg.DataCall record whose
+// argument list (below) is built only for a breakpoint that is not typed.
 const (
 	// SymRegisterModule announces a module: args module, parent.
 	SymRegisterModule = "pedf_register_module"
